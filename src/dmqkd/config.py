@@ -25,11 +25,24 @@ class SweepSpec:
     loss_max_db: float = 60.0
     loss_step_db: float = 1.0
 
+    def __post_init__(self) -> None:
+        lo, hi, step = self.loss_min_db, self.loss_max_db, self.loss_step_db
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigurationError(
+                f"sweep range must be finite with min <= max, got {lo!r}..{hi!r}"
+            )
+        if not (math.isfinite(step) and step > 0.0):
+            raise ConfigurationError(f"loss step must be > 0, got {step!r}")
+
 
 @dataclass(frozen=True)
 class McSpec:
     n_frames: int = 1_000_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -223,19 +236,15 @@ def with_overrides(
     loss_max: float | None = None,
     loss_step: float | None = None,
 ) -> RunConfig:
-    """Apply CLI flag overrides on top of a loaded configuration."""
-    mc = cfg.mc
-    if seed is not None:
-        mc = replace(mc, seed=seed)
-    if frames is not None:
-        mc = replace(mc, n_frames=frames)
-    sweep = cfg.sweep
-    if loss_min is not None:
-        sweep = replace(sweep, loss_min_db=loss_min)
-    if loss_max is not None:
-        sweep = replace(sweep, loss_max_db=loss_max)
-    if loss_step is not None:
-        if loss_step <= 0.0 or not math.isfinite(loss_step):
-            raise ConfigurationError(f"loss step must be > 0, got {loss_step!r}")
-        sweep = replace(sweep, loss_step_db=loss_step)
-    return replace(cfg, mc=mc, sweep=sweep)
+    """Apply CLI flag overrides on top of a loaded configuration.
+
+    Each spec is replaced in one step, so its checks see the final values
+    (e.g. --loss-min 70 --loss-max 80 is valid although 70 > the default max).
+    """
+    mc = {"seed": seed, "n_frames": frames}
+    sweep = {"loss_min_db": loss_min, "loss_max_db": loss_max, "loss_step_db": loss_step}
+    return replace(
+        cfg,
+        mc=replace(cfg.mc, **{k: v for k, v in mc.items() if v is not None}),
+        sweep=replace(cfg.sweep, **{k: v for k, v in sweep.items() if v is not None}),
+    )

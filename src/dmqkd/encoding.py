@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +28,7 @@ INTENSITY_CLASSES = (SIGNAL, DECOY, VACUUM)
 CH_MASTER = "master_drive"
 CH_PERT = "master_perturbation"
 CH_SLAVE = "slave_drive"
+_CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
@@ -308,41 +310,84 @@ def _check_no_overlap(events: Iterable[ScheduleEvent]) -> None:
         last_end[ev.channel] = ev.start + ev.duration
 
 
+def _event_problem(ev: ScheduleEvent) -> str | None:
+    """Why an event cannot appear in a schedule, or None if it can."""
+    if ev.channel not in _CHANNELS:
+        return f"unknown channel {ev.channel!r}"
+    if not (math.isfinite(ev.start) and math.isfinite(ev.duration) and math.isfinite(ev.level)):
+        return (
+            "start, duration and level must be finite, "
+            f"got {ev.start!r} {ev.duration!r} {ev.level!r}"
+        )
+    if ev.duration <= 0.0:
+        return f"duration must be > 0, got {ev.duration!r}"
+    return None
+
+
+def _master_windows(
+    masters: list[ScheduleEvent], events: list[ScheduleEvent], per_window: int, what: str
+) -> list[list[ScheduleEvent]]:
+    """Split start-sorted events into the windows [start, start + duration] of
+    the start-sorted masters.
+
+    An event belongs to a window when it starts and ends inside it. Each window
+    must hold exactly per_window events, and every event must lie in some
+    window. Candidates are found by bisecting the sorted starts, so the cost
+    is O(n log n) rather than a scan of every event per master.
+    """
+    starts = [ev.start for ev in events]
+    claimed = bytearray(len(events))
+    windows = []
+    for m in masters:
+        end = m.start + m.duration
+        members = [
+            j for j in range(bisect_left(starts, m.start), bisect_right(starts, end))
+            if starts[j] + events[j].duration <= end
+        ]
+        if len(members) != per_window:
+            raise ScheduleParseError(
+                f"expected {per_window} {what} events in master window at t={m.start}, "
+                f"found {len(members)}"
+            )
+        for j in members:
+            claimed[j] = 1
+        windows.append([events[j] for j in members])
+    if not all(claimed):
+        stray = events[claimed.index(0)]
+        raise ScheduleParseError(
+            f"{stray.channel} event at t={stray.start!r} lies outside every master window"
+        )
+    return windows
+
+
 def decompile_schedule(
     sched: WaveformSchedule, timing: TimingParams, cal: CalibrationCurve
 ) -> list[PhasePair]:
     """Recover the per-symbol phase pairs from a schedule.
 
     Accepts schedules produced by compile_schedule or hand-written with the
-    same conventions; malformed event counts or overlaps raise
-    ScheduleParseError.
+    same conventions: every master window holds exactly two perturbations and
+    three slave-drive pulses, and no perturbation or slave pulse lies outside
+    every master window. Non-finite fields, non-positive durations, unknown
+    channels, malformed event counts and overlaps raise ScheduleParseError.
     """
+    for ev in sched.events:
+        problem = _event_problem(ev)
+        if problem is not None:
+            raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
     _check_no_overlap(sched.events)
-    masters = sorted(
-        (ev for ev in sched.events if ev.channel == CH_MASTER), key=lambda e: e.start
-    )
+    by_start = sorted(sched.events, key=lambda e: e.start)
+    masters = [ev for ev in by_start if ev.channel == CH_MASTER]
     if not masters:
         raise ScheduleParseError("schedule has no master drive events")
-    perts = sorted(
-        (ev for ev in sched.events if ev.channel == CH_PERT), key=lambda e: e.start
-    )
-    pairs: list[PhasePair] = []
-    for m in masters:
-        window = [
-            ev for ev in perts if m.start <= ev.start and ev.start + ev.duration <= m.start + m.duration
-        ]
-        if len(window) != 2:
-            raise ScheduleParseError(
-                f"expected 2 perturbation events in master window at t={m.start}, "
-                f"found {len(window)}"
-            )
-        pairs.append(
-            PhasePair(
-                phase_for_voltage(window[0].level, cal),
-                phase_for_voltage(window[1].level, cal),
-            )
-        )
-    return pairs
+    perts = [ev for ev in by_start if ev.channel == CH_PERT]
+    slaves = [ev for ev in by_start if ev.channel == CH_SLAVE]
+    pert_windows = _master_windows(masters, perts, 2, "perturbation")
+    _master_windows(masters, slaves, 3, "slave-drive")
+    return [
+        PhasePair(phase_for_voltage(p12.level, cal), phase_for_voltage(p23.level, cal))
+        for p12, p23 in pert_windows
+    ]
 
 
 # --- serialization -----------------------------------------------------------
@@ -394,32 +439,51 @@ def schedule_from_text(text: str) -> WaveformSchedule:
         parts = ln.split()
         if len(parts) != 4:
             raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        channel = parts[0]
-        if channel not in (CH_MASTER, CH_PERT, CH_SLAVE):
-            raise ScheduleParseError(f"line {lineno}: unknown channel {channel!r}")
         try:
             start, duration, level = (float(x) for x in parts[1:])
         except ValueError as exc:
             raise ScheduleParseError(f"line {lineno}: bad number") from exc
-        events.append(ScheduleEvent(channel, start, duration, level))
+        ev = ScheduleEvent(parts[0], start, duration, level)
+        problem = _event_problem(ev)
+        if problem is not None:
+            raise ScheduleParseError(f"line {lineno}: {problem}")
+        events.append(ev)
     return WaveformSchedule(timing=timing, events=tuple(events))
 
 
+def _json_number(x: float) -> str:
+    """A number as json.dumps writes it: repr, or NaN/Infinity/-Infinity."""
+    return repr(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+
+
 def schedule_to_json(sched: WaveformSchedule) -> str:
-    """JSON form of a schedule (same content as the text form)."""
-    doc = {
-        "timing": {name: getattr(sched.timing, name) for name in _TIMING_FIELDS},
-        "events": [
-            {
-                "channel": ev.channel,
-                "start_s": ev.start,
-                "duration_s": ev.duration,
-                "level_v": ev.level,
-            }
-            for ev in sorted(sched.events, key=lambda e: (e.start, e.channel))
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON form of a schedule (same content as the text form).
+
+    The bytes equal json.dumps(doc, indent=2) + "\n" for the document
+    {"timing": {...}, "events": [{"channel", "start_s", "duration_s",
+    "level_v"}, ...]}. Only the timing header goes through json; each event is
+    written from a fixed template, because json.dumps falls back to its
+    pure-Python encoder whenever indent is set.
+    """
+    head = json.dumps(
+        {
+            "timing": {name: getattr(sched.timing, name) for name in _TIMING_FIELDS},
+            "events": [],
+        },
+        indent=2,
+    )
+    if not sched.events:
+        return head + "\n"
+    names = {ch: json.dumps(ch) for ch in {ev.channel for ev in sched.events}}
+    items = [
+        f'{{\n      "channel": {names[ev.channel]},'
+        f'\n      "start_s": {_json_number(ev.start)},'
+        f'\n      "duration_s": {_json_number(ev.duration)},'
+        f'\n      "level_v": {_json_number(ev.level)}\n    }}'
+        for ev in sorted(sched.events, key=lambda e: (e.start, e.channel))
+    ]
+    # head ends with the empty list and the closing brace: '[]\n}'.
+    return head[:-4] + "[\n    " + ",\n    ".join(items) + "\n  ]\n}\n"
 
 
 # --- symbol-stream mini-language --------------------------------------------

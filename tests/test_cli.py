@@ -63,6 +63,19 @@ class TestSweep:
     def test_zero_step_is_usage_error(self, tmp_path):
         assert run("--out", str(tmp_path), "--loss-step", "0", "sweep") == EXIT_USAGE
 
+    def test_reversed_range_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            "--out", str(tmp_path), "--loss-min", "70", "--loss-max", "10", "sweep"
+        ) == EXIT_USAGE
+        assert "min <= max" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_range_above_default_max(self, tmp_path):
+        assert run(
+            "--out", str(tmp_path), "--loss-min", "70", "--loss-max", "71", "sweep"
+        ) == EXIT_OK
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 2
+
     def test_invalid_model_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("dark_rate_hz = 1e9\n")
@@ -91,6 +104,11 @@ class TestMc:
     def test_too_few_frames(self, tmp_path):
         assert run("--out", str(tmp_path), "--frames", "100", "mc") == EXIT_USAGE
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "--frames", "20000", "--seed", "-1", "mc") == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "tallies.csv").exists()
+
 
 class TestVerify:
     def test_passes_and_writes_report(self, tmp_path, capsys):
@@ -99,6 +117,11 @@ class TestVerify:
         assert out.count("PASS") == 11 and "FAIL" not in out
         report = json.loads((tmp_path / "security_report.json").read_text())
         assert report["all_passed"] is True
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "--seed", "-1", "verify") == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "security_report.json").exists()
 
     def test_exit_codes_reserved_value(self):
         assert EXIT_PROPERTY == 2

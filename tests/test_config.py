@@ -28,6 +28,23 @@ class TestFlatRoundTrip:
         assert cfg.link.loss_db == 30.0
         assert cfg.intensities.mu == 0.4
 
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            {"mc_seed": -1},
+            {"sweep_min_db": 70.0},
+            {"sweep_max_db": float("nan")},
+            {"sweep_step_db": 0.0},
+        ],
+    )
+    def test_invalid_specs_rejected(self, flat):
+        with pytest.raises(ConfigurationError):
+            config_from_flat(flat)
+
+    def test_negative_seed_in_text_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            config_from_text("mc_seed = -3\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             config_from_flat({"loss": 30.0})
@@ -94,6 +111,23 @@ class TestOverrides:
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
             with_overrides(RunConfig(), loss_step=0.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": -1},
+            {"loss_min": 70.0, "loss_max": 10.0},
+            {"loss_min": 61.0},
+            {"loss_max": float("inf")},
+        ],
+    )
+    def test_invalid_overrides_rejected(self, overrides):
+        with pytest.raises(ConfigurationError):
+            with_overrides(RunConfig(), **overrides)
+
+    def test_range_checked_after_all_overrides(self):
+        cfg = with_overrides(RunConfig(), loss_min=70.0, loss_max=80.0)
+        assert (cfg.sweep.loss_min_db, cfg.sweep.loss_max_db) == (70.0, 80.0)
 
     def test_none_leaves_defaults(self):
         assert with_overrides(RunConfig()) == RunConfig()

@@ -1,7 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmqkd.encoding import (
     CH_MASTER,
@@ -10,6 +13,7 @@ from dmqkd.encoding import (
     CalibrationCurve,
     ChirpParams,
     EncodingSymbol,
+    PhasePair,
     ScheduleEvent,
     TimingParams,
     WaveformSchedule,
@@ -32,6 +36,13 @@ from dmqkd.errors import ConfigurationError, InvalidSymbolError, ScheduleParseEr
 from dmqkd.photonics import Phase
 
 TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
+TOKENS = ("Z0s", "Z1s", "Y0s", "Y1s", "Z0d", "Z1d", "Z0v", "Z1v")
+
+
+def streams(max_size):
+    return st.lists(st.sampled_from(TOKENS), min_size=1, max_size=max_size).map(
+        lambda toks: [parse_symbol_token(t) for t in toks]
+    )
 
 
 class TestEncodingSymbol:
@@ -279,3 +290,215 @@ class TestSymbolStream:
 
     def test_empty_stream_parses_to_nothing(self):
         assert parse_symbol_stream("# nothing here\n") == []
+
+
+def _compiled(stream):
+    return compile_schedule(stream, TimingParams(), CalibrationCurve(), TABLE)
+
+
+def _json_by_dumps(sched):
+    """The document written with the json module alone."""
+    doc = {
+        "timing": {
+            name: getattr(sched.timing, name)
+            for name in ("master_rate", "slave_rate", "perturbation_width",
+                         "perturbation_separation", "amzi_delay", "master_on_time",
+                         "slave_on_time")
+        },
+        "events": [
+            {"channel": ev.channel, "start_s": ev.start, "duration_s": ev.duration,
+             "level_v": ev.level}
+            for ev in sorted(sched.events, key=lambda e: (e.start, e.channel))
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _decompile_by_scan(sched, cal):
+    """Quadratic reference decompiler: every check is a scan of all events."""
+    events = sched.events
+    for ev in events:
+        if ev.channel not in (CH_MASTER, CH_PERT, CH_SLAVE):
+            raise ScheduleParseError("unknown channel")
+        if not all(math.isfinite(x) for x in (ev.start, ev.duration, ev.level)):
+            raise ScheduleParseError("non-finite field")
+        if ev.duration <= 0.0:
+            raise ScheduleParseError("non-positive duration")
+    for i, a in enumerate(events):
+        for b in events[i + 1:]:
+            if a.channel == b.channel and any(
+                x.start <= y.start < x.start + x.duration - 1e-15 for x, y in ((a, b), (b, a))
+            ):
+                raise ScheduleParseError("overlap")
+
+    def on(channel):
+        return sorted((ev for ev in events if ev.channel == channel), key=lambda e: e.start)
+
+    def inside(ev, m):
+        return m.start <= ev.start and ev.start + ev.duration <= m.start + m.duration
+
+    masters, perts, slaves = on(CH_MASTER), on(CH_PERT), on(CH_SLAVE)
+    if not masters:
+        raise ScheduleParseError("no masters")
+    pairs = []
+    for m in masters:
+        window = [ev for ev in perts if inside(ev, m)]
+        if len(window) != 2 or len([ev for ev in slaves if inside(ev, m)]) != 3:
+            raise ScheduleParseError("bad window")
+        pairs.append(PhasePair(phase_for_voltage(window[0].level, cal),
+                               phase_for_voltage(window[1].level, cal)))
+    for ev in perts + slaves:
+        if not any(inside(ev, m) for m in masters):
+            raise ScheduleParseError("stray event")
+    return pairs
+
+
+def _mutate(events, data):
+    """Apply one random edit to a list of schedule events."""
+    kind = data.draw(st.sampled_from(
+        ("drop", "duplicate", "shift", "stretch", "stray", "rechannel", "relevel", "non-finite")
+    ))
+    if kind == "stray" or not events:
+        events.append(ScheduleEvent(
+            data.draw(st.sampled_from((CH_PERT, CH_SLAVE, CH_MASTER))),
+            data.draw(st.integers(-40, 200)) * 50e-12,
+            data.draw(st.sampled_from((150e-12, 300e-12, 1.4e-9))),
+            0.4,
+        ))
+        return
+    i = data.draw(st.integers(0, len(events) - 1))
+    ev = events[i]
+    if kind == "drop":
+        del events[i]
+    elif kind == "duplicate":
+        events.append(ev)
+    elif kind == "shift":
+        events[i] = replace(ev, start=ev.start + data.draw(st.integers(-60, 60)) * 10e-12)
+    elif kind == "stretch":
+        factor = data.draw(st.sampled_from((-1.0, 0.0, 0.5, 2.0, 4.0)))
+        events[i] = replace(ev, duration=ev.duration * factor)
+    elif kind == "relevel":
+        events[i] = replace(ev, level=data.draw(st.floats(-2.0, 2.0, allow_nan=False)))
+    elif kind == "rechannel":
+        channel = data.draw(st.sampled_from((CH_MASTER, CH_PERT, CH_SLAVE, "mystery")))
+        events[i] = replace(ev, channel=channel)
+    else:
+        name = data.draw(st.sampled_from(("start", "duration", "level")))
+        bad = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        events[i] = replace(ev, **{name: bad})
+
+
+class TestDecompileAgainstScan:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_pairs_or_same_error(self, data):
+        stream = data.draw(streams(6))
+        events = list(_compiled(stream).events)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(events, data)
+        t, cal = TimingParams(), CalibrationCurve()
+        sched = WaveformSchedule(timing=t, events=tuple(events))
+        try:
+            want = _decompile_by_scan(sched, cal)
+        except ScheduleParseError:
+            with pytest.raises(ScheduleParseError):
+                decompile_schedule(sched, t, cal)
+        else:
+            assert decompile_schedule(sched, t, cal) == want
+
+
+class TestScheduleProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(stream=streams(200))
+    def test_compile_text_parse_decompile_round_trip(self, stream):
+        t, cal = TimingParams(), CalibrationCurve()
+        text = schedule_to_text(compile_schedule(stream, t, cal, TABLE))
+        back = schedule_from_text(text)
+        assert schedule_to_text(back) == text
+        pairs = decompile_schedule(back, t, cal)
+        assert len(pairs) == len(stream)
+        for sym, got in zip(stream, pairs):
+            want = encode_symbol(sym, TABLE)
+            for a, b in ((got.phi12, want.phi12), (got.phi23, want.phi23)):
+                gap = (float(a) - float(b)) % (2.0 * math.pi)
+                assert min(gap, 2.0 * math.pi - gap) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(stream=streams(200))
+    def test_json_is_byte_identical_to_json_dumps(self, stream):
+        sched = _compiled(stream)
+        assert schedule_to_json(sched) == _json_by_dumps(sched)
+
+    def test_json_without_events(self):
+        sched = WaveformSchedule(timing=TimingParams())
+        assert schedule_to_json(sched) == _json_by_dumps(sched)
+        assert json.loads(schedule_to_json(sched))["events"] == []
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 1, -0.0, 1e300])
+    def test_json_special_levels(self, level):
+        events = (
+            ScheduleEvent(CH_PERT, 1e-9, 150e-12, level),
+            ScheduleEvent("sl\u00e4ve \"x\"", 0.0, 3e-10, 1.0),
+        )
+        sched = WaveformSchedule(timing=TimingParams(), events=events)
+        assert schedule_to_json(sched) == _json_by_dumps(sched)
+
+
+class TestScheduleValidation:
+    def _text(self):
+        return schedule_to_text(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "master_perturbation 5e-06 1.5e-10 0.3",
+            "slave_drive 5e-06 3e-10 1.0",
+            "slave_drive -1e-09 3e-10 1.0",
+        ],
+    )
+    def test_event_outside_every_window_rejected(self, line):
+        t = TimingParams()
+        sched = schedule_from_text(self._text() + line + "\n")
+        with pytest.raises(ScheduleParseError, match="outside every master window"):
+            decompile_schedule(sched, t, CalibrationCurve())
+
+    def test_window_needs_three_slave_pulses(self):
+        t = TimingParams()
+        lines = self._text().splitlines()
+        first_slave = next(i for i, ln in enumerate(lines) if ln.startswith(CH_SLAVE))
+        del lines[first_slave]
+        sched = schedule_from_text("\n".join(lines))
+        with pytest.raises(ScheduleParseError, match="3 slave-drive events"):
+            decompile_schedule(sched, t, CalibrationCurve())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "slave_drive nan 3e-10 1.0",
+            "slave_drive 0.0 inf 1.0",
+            "master_perturbation 1e-10 1.5e-10 -inf",
+            "slave_drive 5e-10 0.0 1.0",
+            "slave_drive 5e-10 -3e-10 1.0",
+        ],
+    )
+    def test_bad_event_fields_rejected_with_line_number(self, line):
+        text = self._text()
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ScheduleParseError, match=f"line {lineno}:"):
+            schedule_from_text(text + line + "\n")
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ScheduleEvent(CH_SLAVE, math.nan, 3e-10, 1.0),
+            ScheduleEvent(CH_PERT, 1e-10, 0.0, 0.4),
+            ScheduleEvent(CH_PERT, 1e-10, 1.5e-10, math.inf),
+            ScheduleEvent("mystery", 1e-10, 1.5e-10, 0.4),
+        ],
+    )
+    def test_bad_hand_built_event_rejected(self, event):
+        t = TimingParams()
+        sched = _compiled([EncodingSymbol("Z", 0)])
+        bad = WaveformSchedule(timing=t, events=sched.events + (event,))
+        with pytest.raises(ScheduleParseError):
+            decompile_schedule(bad, t, CalibrationCurve())
