@@ -1,10 +1,10 @@
 """Run configuration: defaults, flat key-value file format, JSON equivalence.
 
-The defaults are the transmitter's published operating point: 667 MHz master /
-2 GHz slave clocks (stored as exactly 3:1 so one AMZI delay is 500 ps),
-150 ps perturbations 450 ps apart, intensities mu/nu/omega = 0.4/0.16/0.015,
-90:10 Y:Z basis split, 70% detector efficiency, 50 Hz dark counts, a 300 ps
-detection window, V-pi = 0.8 V, e_det = 3.3% and f_ec = 1.16.
+The defaults are the transmitter's published operating point: a 667 MHz
+master clock (the 2 GHz slave clock and the 500 ps AMZI delay follow from it),
+150 ps perturbations one AMZI delay apart, intensities mu/nu/omega =
+0.4/0.16/0.015, 90:10 Y:Z basis split, 70% detector efficiency, 50 Hz dark
+counts, a 300 ps detection window, V-pi = 0.8 V, e_det = 3.3% and f_ec = 1.16.
 """
 
 from __future__ import annotations
@@ -64,122 +64,75 @@ class RunConfig:
         return {"signal": 1.0, "decoy": i.nu / i.mu, "vacuum": i.omega / i.mu}
 
 
-_KEY_COMMENTS = {
-    "loss_db": "channel loss",
-    "det_efficiency": "detector efficiency",
-    "dark_rate_hz": "dark counts per detector",
-    "window_s": "detection window",
-    "p_y_alice": "Alice Y-basis probability",
-    "p_y_bob": "Bob Y-basis probability",
-    "e_det": "lumped misalignment/intrinsic error",
-    "f_ec": "error-correction inefficiency",
-    "y_receiver_factor": "Y-basis receiver efficiency factor",
-    "mu": "signal mean photon number",
-    "nu": "decoy mean photon number",
-    "omega": "vacuum mean photon number",
-    "master_rate_hz": "master laser clock (symbol rate)",
-    "slave_rate_hz": "slave laser clock (3x master)",
-    "perturbation_width_s": "electrical perturbation width",
-    "perturbation_separation_s": "perturbation separation",
-    "amzi_delay_s": "AMZI delay (one slave period)",
-    "master_on_time_s": "master gate on-time",
-    "slave_on_time_s": "slave pulse on-time",
-    "v_pi": "half-wave voltage",
-    "z_mix_signal": "Z-basis class mix (renormalised)",
-    "z_mix_decoy": "",
-    "z_mix_vacuum": "",
-    "sweep_min_db": "loss sweep range",
-    "sweep_max_db": "",
-    "sweep_step_db": "",
-    "mc_frames": "Monte Carlo frames",
-    "mc_seed": "Monte Carlo seed",
+# Every configuration key: key -> (RunConfig section, field or z_mix index,
+# comment). A key's type is that of its default value. master_rate_hz also
+# sets LinkParams.clock, so the two clocks cannot disagree.
+_KEYS: dict[str, tuple[str, str | int, str]] = {
+    "loss_db": ("link", "loss_db", "channel loss"),
+    "det_efficiency": ("link", "det_efficiency", "detector efficiency"),
+    "dark_rate_hz": ("link", "dark_rate", "dark counts per detector"),
+    "window_s": ("link", "window", "detection window"),
+    "p_y_alice": ("link", "p_y_alice", "Alice Y-basis probability"),
+    "p_y_bob": ("link", "p_y_bob", "Bob Y-basis probability"),
+    "e_det": ("link", "e_det", "lumped misalignment/intrinsic error"),
+    "f_ec": ("link", "f_ec", "error-correction inefficiency"),
+    "y_receiver_factor": ("link", "y_receiver_factor", "Y-basis receiver efficiency factor"),
+    "mu": ("intensities", "mu", "signal mean photon number"),
+    "nu": ("intensities", "nu", "decoy mean photon number"),
+    "omega": ("intensities", "omega", "vacuum mean photon number"),
+    "master_rate_hz": ("timing", "master_rate", "master laser clock (symbol rate)"),
+    "perturbation_width_s": ("timing", "perturbation_width", "electrical perturbation width"),
+    "master_on_time_s": ("timing", "master_on_time", "master gate on-time"),
+    "slave_on_time_s": ("timing", "slave_on_time", "slave pulse on-time"),
+    "v_pi": ("calibration", "v_pi", "half-wave voltage"),
+    "z_mix_signal": ("z_mix", 0, "Z-basis class mix (renormalised)"),
+    "z_mix_decoy": ("z_mix", 1, ""),
+    "z_mix_vacuum": ("z_mix", 2, ""),
+    "sweep_min_db": ("sweep", "loss_min_db", "loss sweep range"),
+    "sweep_max_db": ("sweep", "loss_max_db", ""),
+    "sweep_step_db": ("sweep", "loss_step_db", ""),
+    "mc_frames": ("mc", "n_frames", "Monte Carlo frames"),
+    "mc_seed": ("mc", "seed", "Monte Carlo seed"),
 }
 
 
 def config_to_flat(cfg: RunConfig) -> dict:
-    ln, it, tm = cfg.link, cfg.intensities, cfg.timing
-    return {
-        "loss_db": ln.loss_db,
-        "det_efficiency": ln.det_efficiency,
-        "dark_rate_hz": ln.dark_rate,
-        "window_s": ln.window,
-        "p_y_alice": ln.p_y_alice,
-        "p_y_bob": ln.p_y_bob,
-        "e_det": ln.e_det,
-        "f_ec": ln.f_ec,
-        "y_receiver_factor": ln.y_receiver_factor,
-        "mu": it.mu,
-        "nu": it.nu,
-        "omega": it.omega,
-        "master_rate_hz": tm.master_rate,
-        "slave_rate_hz": tm.slave_rate,
-        "perturbation_width_s": tm.perturbation_width,
-        "perturbation_separation_s": tm.perturbation_separation,
-        "amzi_delay_s": tm.amzi_delay,
-        "master_on_time_s": tm.master_on_time,
-        "slave_on_time_s": tm.slave_on_time,
-        "v_pi": cfg.calibration.v_pi,
-        "z_mix_signal": cfg.z_mix[0],
-        "z_mix_decoy": cfg.z_mix[1],
-        "z_mix_vacuum": cfg.z_mix[2],
-        "sweep_min_db": cfg.sweep.loss_min_db,
-        "sweep_max_db": cfg.sweep.loss_max_db,
-        "sweep_step_db": cfg.sweep.loss_step_db,
-        "mc_frames": cfg.mc.n_frames,
-        "mc_seed": cfg.mc.seed,
-    }
+    flat = {}
+    for key, (section, name, _) in _KEYS.items():
+        part = getattr(cfg, section)
+        flat[key] = part[name] if isinstance(name, int) else getattr(part, name)
+    return flat
+
+
+_DEFAULT = RunConfig()
+_DEFAULT_FLAT = config_to_flat(_DEFAULT)
+
+
+def _typed(key: str, value: object) -> int | float:
+    """value as the type of key's default. Int keys take ints only, float keys
+    ints or floats; bools, strings and anything else are rejected."""
+    kind = type(_DEFAULT_FLAT[key])
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigurationError(f"{key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{key} is out of range: {value!r}") from exc
 
 
 def config_from_flat(flat: dict) -> RunConfig:
-    defaults = config_to_flat(RunConfig())
-    unknown = set(flat) - set(defaults)
+    unknown = set(flat) - set(_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
-    merged = {**defaults, **flat}
-    try:
-        link = LinkParams(
-            loss_db=float(merged["loss_db"]),
-            det_efficiency=float(merged["det_efficiency"]),
-            dark_rate=float(merged["dark_rate_hz"]),
-            window=float(merged["window_s"]),
-            clock=float(merged["master_rate_hz"]),
-            p_y_alice=float(merged["p_y_alice"]),
-            p_y_bob=float(merged["p_y_bob"]),
-            e_det=float(merged["e_det"]),
-            f_ec=float(merged["f_ec"]),
-            y_receiver_factor=float(merged["y_receiver_factor"]),
-        )
-        intens = DecoyIntensities(
-            mu=float(merged["mu"]), nu=float(merged["nu"]), omega=float(merged["omega"])
-        )
-        timing = TimingParams(
-            master_rate=float(merged["master_rate_hz"]),
-            slave_rate=float(merged["slave_rate_hz"]),
-            perturbation_width=float(merged["perturbation_width_s"]),
-            perturbation_separation=float(merged["perturbation_separation_s"]),
-            amzi_delay=float(merged["amzi_delay_s"]),
-            master_on_time=float(merged["master_on_time_s"]),
-            slave_on_time=float(merged["slave_on_time_s"]),
-        )
-        cal = CalibrationCurve(v_pi=float(merged["v_pi"]))
-        z_mix = (
-            float(merged["z_mix_signal"]),
-            float(merged["z_mix_decoy"]),
-            float(merged["z_mix_vacuum"]),
-        )
-        sweep = SweepSpec(
-            loss_min_db=float(merged["sweep_min_db"]),
-            loss_max_db=float(merged["sweep_max_db"]),
-            loss_step_db=float(merged["sweep_step_db"]),
-        )
-        mc = McSpec(n_frames=int(merged["mc_frames"]), seed=int(merged["mc_seed"]))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(str(exc)) from exc
+    parts: dict[str, dict] = {}
+    for key, (section, name, _) in _KEYS.items():
+        parts.setdefault(section, {})[name] = _typed(key, flat.get(key, _DEFAULT_FLAT[key]))
+    parts["link"]["clock"] = parts["timing"]["master_rate"]
+    z_mix = tuple(parts.pop("z_mix").values())
     return RunConfig(
-        link=link, intensities=intens, timing=timing, calibration=cal,
-        z_mix=z_mix, sweep=sweep, mc=mc,
+        z_mix=z_mix,
+        **{section: replace(getattr(_DEFAULT, section), **kw) for section, kw in parts.items()},
     )
 
 
@@ -187,7 +140,7 @@ def config_to_text(cfg: RunConfig) -> str:
     """Flat, commented key-value form; diff-able experiment record."""
     lines = ["# dmqkd run configuration"]
     for key, value in config_to_flat(cfg).items():
-        comment = _KEY_COMMENTS.get(key, "")
+        comment = _KEYS[key][2]
         suffix = f"  # {comment}" if comment else ""
         lines.append(f"{key} = {value!r}{suffix}")
     return "\n".join(lines) + "\n"
@@ -202,8 +155,10 @@ def config_from_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigurationError(f"line {lineno}: unknown configuration key {key!r}")
         try:
-            flat[key] = int(value) if key in ("mc_frames", "mc_seed") else float(value)
+            flat[key] = type(_DEFAULT_FLAT[key])(value)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}") from exc
     return config_from_flat(flat)

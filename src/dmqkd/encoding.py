@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DmqkdError, InvalidSymbolError, ScheduleParseError
@@ -32,8 +32,6 @@ _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
-
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,58 +83,24 @@ class CalibrationCurve:
 
 
 @dataclass(frozen=True)
-class ChirpParams:
-    """Transient frequency shift and modulation width of one perturbation."""
-
-    delta_nu: float
-    delta_t: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0.0):
-            raise ConfigurationError(f"delta_t must be > 0, got {self.delta_t!r}")
-        if not math.isfinite(self.delta_nu):
-            raise ConfigurationError(f"delta_nu must be finite, got {self.delta_nu!r}")
-
-
-@dataclass(frozen=True)
 class TimingParams:
-    """Clock rates and event widths of the electrical drive scheme.
+    """Clock rate and event widths of the electrical drive scheme.
 
     The slave laser emits exactly three pulses per master gate, so its rate is
-    three times the master rate and the AMZI delay equals one slave period.
+    three times the master rate and the AMZI delay equals one slave period;
+    both are derived from master_rate rather than stored.
     """
 
     master_rate: float = 2e9 / 3.0
-    slave_rate: float = 2e9
     perturbation_width: float = 150e-12
-    perturbation_separation: float = 450e-12
-    amzi_delay: float = 500e-12
     master_on_time: float = 1.4e-9
     slave_on_time: float = 300e-12
 
     def __post_init__(self) -> None:
-        for name in (
-            "master_rate",
-            "slave_rate",
-            "perturbation_width",
-            "perturbation_separation",
-            "amzi_delay",
-            "master_on_time",
-            "slave_on_time",
-        ):
+        for name in _TIMING_FIELDS:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"{name} must be > 0, got {v!r}")
-        if abs(self.slave_rate - 3.0 * self.master_rate) > _REL_TOL * self.slave_rate:
-            raise ConfigurationError(
-                "slave_rate must be exactly three times master_rate "
-                f"(got {self.slave_rate} vs 3 * {self.master_rate})"
-            )
-        if abs(self.amzi_delay * self.slave_rate - 1.0) > _REL_TOL:
-            raise ConfigurationError(
-                "amzi_delay must equal one slave period "
-                f"(got {self.amzi_delay} vs 1/{self.slave_rate})"
-            )
         if self.master_on_time > 1.0 / self.master_rate:
             raise ConfigurationError("master_on_time exceeds the master period")
         if 2.0 * self.amzi_delay + self.slave_on_time > self.master_on_time:
@@ -149,8 +113,19 @@ class TimingParams:
             )
 
     @property
+    def slave_rate(self) -> float:
+        return 3.0 * self.master_rate
+
+    @property
+    def amzi_delay(self) -> float:
+        return 1.0 / self.slave_rate
+
+    @property
     def symbol_period(self) -> float:
         return 1.0 / self.master_rate
+
+
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams))
 
 
 @dataclass(frozen=True)
@@ -168,11 +143,16 @@ class WaveformSchedule:
     """A time-sorted list of events realizing a symbol stream.
 
     Times are absolute offsets in seconds from the first master onset, stored
-    at double precision.
+    at double precision. Events are kept in canonical (start, channel) order,
+    sorted once here, so every reader and writer can rely on it.
     """
 
     timing: TimingParams
     events: tuple[ScheduleEvent, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        events = sorted(self.events, key=lambda ev: (ev.start, ev.channel))
+        object.__setattr__(self, "events", tuple(events))
 
 
 def intensity_to_phase(fraction: float) -> Phase:
@@ -186,11 +166,6 @@ def intensity_to_phase(fraction: float) -> Phase:
             f"intensity fraction must lie in (0, 1], got {fraction!r}"
         )
     return Phase(2.0 * math.acos(math.sqrt(fraction)))
-
-
-def chirp_phase(p: ChirpParams) -> Phase:
-    """Phase accumulated by a transient frequency shift delta_nu over delta_t."""
-    return Phase(2.0 * math.pi * p.delta_nu * p.delta_t)
 
 
 def voltage_for_phase(phi: float, cal: CalibrationCurve) -> float:
@@ -293,15 +268,15 @@ def compile_schedule(
                     voltage_for_phase(phi, cal),
                 )
             )
-    events.sort(key=lambda ev: (ev.start, ev.channel))
     sched = WaveformSchedule(timing=timing, events=tuple(events))
     _check_no_overlap(sched.events)
     return sched
 
 
 def _check_no_overlap(events: Iterable[ScheduleEvent]) -> None:
+    """Raise if two events of one channel overlap; events come in start order."""
     last_end: dict[str, float] = {}
-    for ev in sorted(events, key=lambda e: e.start):
+    for ev in events:
         end = last_end.get(ev.channel)
         if end is not None and ev.start < end - 1e-15:
             raise ScheduleParseError(
@@ -369,19 +344,23 @@ def decompile_schedule(
     same conventions: every master window holds exactly two perturbations and
     three slave-drive pulses, and no perturbation or slave pulse lies outside
     every master window. Non-finite fields, non-positive durations, unknown
-    channels, malformed event counts and overlaps raise ScheduleParseError.
+    channels, malformed event counts and overlaps raise ScheduleParseError, as
+    does a timing that differs from the one the schedule carries.
     """
+    if timing != sched.timing:
+        raise ScheduleParseError(
+            f"schedule was compiled for {sched.timing}, not {timing}"
+        )
     for ev in sched.events:
         problem = _event_problem(ev)
         if problem is not None:
             raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
     _check_no_overlap(sched.events)
-    by_start = sorted(sched.events, key=lambda e: e.start)
-    masters = [ev for ev in by_start if ev.channel == CH_MASTER]
+    masters = [ev for ev in sched.events if ev.channel == CH_MASTER]
     if not masters:
         raise ScheduleParseError("schedule has no master drive events")
-    perts = [ev for ev in by_start if ev.channel == CH_PERT]
-    slaves = [ev for ev in by_start if ev.channel == CH_SLAVE]
+    perts = [ev for ev in sched.events if ev.channel == CH_PERT]
+    slaves = [ev for ev in sched.events if ev.channel == CH_SLAVE]
     pert_windows = _master_windows(masters, perts, 2, "perturbation")
     _master_windows(masters, slaves, 3, "slave-drive")
     return [
@@ -391,17 +370,6 @@ def decompile_schedule(
 
 
 # --- serialization -----------------------------------------------------------
-
-_TIMING_FIELDS = (
-    "master_rate",
-    "slave_rate",
-    "perturbation_width",
-    "perturbation_separation",
-    "amzi_delay",
-    "master_on_time",
-    "slave_on_time",
-)
-
 
 def schedule_to_text(sched: WaveformSchedule) -> str:
     """Line-oriented text form: a one-line timing header, then one event per line.
@@ -413,7 +381,7 @@ def schedule_to_text(sched: WaveformSchedule) -> str:
         f"{name}={getattr(sched.timing, name)!r}" for name in _TIMING_FIELDS
     )
     lines = [header]
-    for ev in sorted(sched.events, key=lambda e: (e.start, e.channel)):
+    for ev in sched.events:
         lines.append(f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}")
     return "\n".join(lines) + "\n"
 
@@ -427,9 +395,13 @@ def schedule_from_text(text: str) -> WaveformSchedule:
     for tok in lines[0][len("# timing "):].split():
         try:
             name, value = tok.split("=", 1)
-            kv[name] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise ScheduleParseError(f"bad timing token {tok!r}") from exc
+        if name not in _TIMING_FIELDS or name in kv:
+            what = "duplicate" if name in kv else "unknown"
+            raise ScheduleParseError(f"{what} timing field {name!r}")
+        kv[name] = number
     try:
         timing = TimingParams(**{name: kv[name] for name in _TIMING_FIELDS})
     except (KeyError, ConfigurationError) as exc:
@@ -480,7 +452,7 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
         f'\n      "start_s": {_json_number(ev.start)},'
         f'\n      "duration_s": {_json_number(ev.duration)},'
         f'\n      "level_v": {_json_number(ev.level)}\n    }}'
-        for ev in sorted(sched.events, key=lambda e: (e.start, e.channel))
+        for ev in sched.events
     ]
     # head ends with the empty list and the closing brace: '[]\n}'.
     return head[:-4] + "[\n    " + ",\n    ".join(items) + "\n  ]\n}\n"

@@ -15,7 +15,6 @@ error parameter e_det.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -270,19 +269,15 @@ def simulate_frames_mc(
     intens: DecoyIntensities,
     state_probs: Mapping[tuple[str, str], float] | None = None,
     seed: int = 0,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    n_jobs: int = 1,
 ) -> TallyCounts:
     """Monte Carlo frame sampling; deterministic given the seed.
 
-    Frames are processed in fixed-size blocks, each with a generator derived
-    from (seed, block index), so the merged tallies are identical no matter
-    how the blocks are partitioned across workers.
+    Frames are processed in blocks of DEFAULT_BLOCK_SIZE, each with a
+    generator derived from (seed, block index), so every block's tally
+    depends only on the seed and its index.
     """
     if n_frames <= 0:
         raise ConfigurationError(f"n_frames must be > 0, got {n_frames!r}")
-    if block_size <= 0:
-        raise ConfigurationError(f"block_size must be > 0, got {block_size!r}")
     if state_probs is None:
         state_probs = default_state_probs(params)
     probs = np.array([state_probs.get(row, 0.0) for row in STATE_ROWS], dtype=float)
@@ -300,23 +295,13 @@ def simulate_frames_mc(
     )
     p_sig = factors * (1.0 - np.exp(-eta * lams))
 
-    n_blocks = (n_frames + block_size - 1) // block_size
-    sizes = [
-        min(block_size, n_frames - b * block_size) for b in range(n_blocks)
-    ]
-
-    def run(b: int) -> np.ndarray:
-        return _simulate_block(
-            sizes[b], b, seed, probs, p_sig, y0, params.e_det, params.p_y_bob
+    total = sum(
+        _simulate_block(
+            min(DEFAULT_BLOCK_SIZE, n_frames - start), b, seed, probs, p_sig, y0,
+            params.e_det, params.p_y_bob,
         )
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            block_tallies = list(pool.map(run, range(n_blocks)))
-    else:
-        block_tallies = [run(b) for b in range(n_blocks)]
-
-    total = np.sum(block_tallies, axis=0)
+        for b, start in enumerate(range(0, n_frames, DEFAULT_BLOCK_SIZE))
+    )
     tallies = TallyCounts()
     for i, key in enumerate(STATE_ROWS):
         tallies.rows[key] = RowTally(

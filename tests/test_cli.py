@@ -153,3 +153,9 @@ class TestUsage:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("mystery = 1.0\n")
         assert run("--config", str(cfg), "sweep") == EXIT_USAGE
+
+    def test_wrong_config_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mc_frames": 20000.9}')
+        assert run("--config", str(cfg), "mc") == EXIT_USAGE
+        assert "mc_frames" in capsys.readouterr().err

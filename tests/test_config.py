@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmqkd.config import (
     RunConfig,
@@ -50,10 +52,42 @@ class TestFlatRoundTrip:
             config_from_flat({"loss": 30.0})
 
     def test_clock_follows_master_rate(self):
-        cfg = config_from_flat({"master_rate_hz": 5e8, "slave_rate_hz": 1.5e9,
-                                "amzi_delay_s": 1.0 / 1.5e9,
-                                "master_on_time_s": 1.8e-9})
-        assert cfg.link.clock == 5e8
+        cfg = config_from_flat({"master_rate_hz": 5e8, "master_on_time_s": 1.8e-9})
+        assert cfg.link.clock == cfg.timing.master_rate == 5e8
+        assert cfg.timing.slave_rate == 1.5e9
+
+    @pytest.mark.parametrize(
+        "key", ["slave_rate_hz", "amzi_delay_s", "perturbation_separation_s"]
+    )
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_flat({key: 1e-10})
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_text(f"{key} = 1e-10\n")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("mc_seed", 2.7),
+            ("mc_seed", -0.5),
+            ("mc_seed", True),
+            ("mc_frames", 20000.9),
+            ("mc_frames", 1e6),
+            ("mu", True),
+            ("nu", "0.16"),
+            ("loss_db", None),
+            ("v_pi", [0.8]),
+            ("loss_db", 10**400),
+        ],
+    )
+    def test_wrong_types_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_flat({key: value})
+
+    def test_ints_accepted_for_float_keys(self):
+        cfg = config_from_flat({"loss_db": 30, "mc_frames": 20000})
+        assert cfg.link.loss_db == 30.0 and type(cfg.link.loss_db) is float
+        assert cfg.mc.n_frames == 20000
 
     def test_decoy_table(self):
         table = RunConfig().decoy_table()
@@ -94,6 +128,54 @@ class TestLoadConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+
+@st.composite
+def valid_flats(draw):
+    """Flat configurations that every section accepts."""
+    unit = st.floats(0.0, 1.0)
+    rate = draw(st.floats(1e8, 2e9 / 3.0))
+    period = 1.0 / rate
+    sweep_min = draw(st.floats(0.0, 50.0))
+    return {
+        "loss_db": draw(st.floats(0.0, 100.0)),
+        "det_efficiency": draw(unit),
+        "dark_rate_hz": draw(st.floats(0.0, 1e4)),
+        "window_s": draw(st.floats(0.0, 1e-9)),
+        "p_y_alice": draw(unit),
+        "p_y_bob": draw(unit),
+        "e_det": draw(unit),
+        "f_ec": draw(st.floats(1.0, 2.0)),
+        "y_receiver_factor": draw(unit),
+        "mu": draw(st.floats(0.3, 1.0)),
+        "nu": draw(st.floats(0.06, 0.2)),
+        "omega": draw(st.floats(0.0, 0.05)),
+        "master_rate_hz": rate,
+        "perturbation_width_s": period / 3.0 * draw(st.floats(0.01, 0.99)),
+        "master_on_time_s": period * draw(st.floats(0.9, 1.0)),
+        "slave_on_time_s": period / 3.0 * draw(st.floats(0.01, 0.2)),
+        "v_pi": draw(st.floats(0.1, 5.0)),
+        "z_mix_signal": draw(unit),
+        "z_mix_decoy": draw(unit),
+        "z_mix_vacuum": draw(unit),
+        "sweep_min_db": sweep_min,
+        "sweep_max_db": sweep_min + draw(st.floats(0.0, 50.0)),
+        "sweep_step_db": draw(st.floats(1e-3, 10.0)),
+        "mc_frames": draw(st.integers(1, 10**9)),
+        "mc_seed": draw(st.integers(0, 2**63)),
+    }
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(flat=valid_flats())
+    def test_text_and_json_round_trip(self, flat, tmp_path_factory):
+        cfg = config_from_flat(flat)
+        assert config_to_flat(cfg) == flat
+        assert config_from_text(config_to_text(cfg)) == cfg
+        path = tmp_path_factory.mktemp("cfg") / "run.json"
+        path.write_text(json.dumps(config_to_flat(cfg)))
+        assert load_config(path) == cfg
 
 
 class TestOverrides:

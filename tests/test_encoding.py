@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +11,11 @@ from dmqkd.encoding import (
     CH_PERT,
     CH_SLAVE,
     CalibrationCurve,
-    ChirpParams,
     EncodingSymbol,
     PhasePair,
     ScheduleEvent,
     TimingParams,
     WaveformSchedule,
-    chirp_phase,
     compile_schedule,
     decompile_schedule,
     encode_symbol,
@@ -136,11 +134,6 @@ class TestCalibration:
         with pytest.raises(ConfigurationError):
             predicted_pulse_amplitude(-0.1, CalibrationCurve())
 
-    def test_chirp_phase(self):
-        assert float(chirp_phase(ChirpParams(delta_nu=1e9, delta_t=250e-12))) == (
-            pytest.approx(math.pi / 2.0)
-        )
-
 
 class TestTimingParams:
     def test_defaults_are_consistent(self):
@@ -149,11 +142,14 @@ class TestTimingParams:
         assert t.amzi_delay * t.slave_rate == pytest.approx(1.0)
 
     def test_slave_rate_must_be_triple(self):
-        with pytest.raises(ConfigurationError):
+        assert TimingParams().slave_rate == 2e9
+        assert TimingParams(master_rate=5e8, master_on_time=1.8e-9).slave_rate == 1.5e9
+        with pytest.raises(TypeError):
             TimingParams(slave_rate=1.9e9)
 
     def test_amzi_delay_must_match_slave_period(self):
-        with pytest.raises(ConfigurationError):
+        assert TimingParams().amzi_delay == 500e-12
+        with pytest.raises(TypeError):
             TimingParams(amzi_delay=400e-12)
 
     def test_master_window_must_hold_three_pulses(self):
@@ -226,6 +222,27 @@ class TestScheduleCompile:
             decompile_schedule(WaveformSchedule(timing=t, events=events), t, cal)
 
 
+_HEADER = (
+    "# timing master_rate=666666666.6666666 perturbation_width=1.5e-10"
+    " master_on_time=1.4e-09 slave_on_time=3e-10"
+)
+# The header written before slave_rate and amzi_delay became derived and
+# perturbation_separation was removed.
+_OLD_HEADER = (
+    "# timing master_rate=666666666.6666666 slave_rate=2000000000.0"
+    " perturbation_width=1.5e-10 perturbation_separation=4.5e-10 amzi_delay=5e-10"
+    " master_on_time=1.4e-09 slave_on_time=3e-10\n"
+)
+
+
+def _headers(edit):
+    """(field, header) with that one timing field dropped or written twice."""
+    tokens = _HEADER[len("# timing "):].split()
+    for i, tok in enumerate(tokens):
+        kept = tokens[:i] + tokens[i + 1:] if edit == "drop" else tokens + [tok]
+        yield tok.split("=")[0], "# timing " + " ".join(kept) + "\n"
+
+
 class TestScheduleSerialization:
     def _sched(self):
         stream = [EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]
@@ -239,14 +256,15 @@ class TestScheduleSerialization:
 
     def test_text_header_carries_timing(self):
         sched = self._sched()
-        parsed = schedule_from_text(schedule_to_text(sched))
-        assert parsed.timing == sched.timing
+        text = schedule_to_text(sched)
+        assert text.splitlines()[0] == _HEADER
+        assert schedule_from_text(text).timing == sched.timing
 
     def test_json_matches_text_content(self):
         sched = self._sched()
         doc = json.loads(schedule_to_json(sched))
         assert len(doc["events"]) == len(sched.events)
-        assert doc["timing"]["amzi_delay"] == pytest.approx(500e-12)
+        assert doc["timing"] == asdict(sched.timing)
 
     @pytest.mark.parametrize(
         "text",
@@ -255,6 +273,10 @@ class TestScheduleSerialization:
             "no header\n",
             "# timing master_rate=oops\n",
             "# timing master_rate=666666666.6666666\nmaster_drive 0.0\n",
+            *(pytest.param(h, id=f"missing-{name}") for name, h in _headers("drop")),
+            *(pytest.param(h, id=f"duplicate-{name}") for name, h in _headers("repeat")),
+            pytest.param(_HEADER + " slave_rate=2000000000.0\n", id="unknown-slave_rate"),
+            pytest.param(_OLD_HEADER, id="old-seven-field-header"),
         ],
     )
     def test_malformed_text_rejected(self, text):
@@ -299,12 +321,7 @@ def _compiled(stream):
 def _json_by_dumps(sched):
     """The document written with the json module alone."""
     doc = {
-        "timing": {
-            name: getattr(sched.timing, name)
-            for name in ("master_rate", "slave_rate", "perturbation_width",
-                         "perturbation_separation", "amzi_delay", "master_on_time",
-                         "slave_on_time")
-        },
+        "timing": asdict(sched.timing),
         "events": [
             {"channel": ev.channel, "start_s": ev.start, "duration_s": ev.duration,
              "level_v": ev.level}
@@ -398,6 +415,7 @@ class TestDecompileAgainstScan:
             _mutate(events, data)
         t, cal = TimingParams(), CalibrationCurve()
         sched = WaveformSchedule(timing=t, events=tuple(events))
+        assert list(sched.events) == sorted(events, key=lambda e: (e.start, e.channel))
         try:
             want = _decompile_by_scan(sched, cal)
         except ScheduleParseError:
@@ -461,6 +479,12 @@ class TestScheduleValidation:
         sched = schedule_from_text(self._text() + line + "\n")
         with pytest.raises(ScheduleParseError, match="outside every master window"):
             decompile_schedule(sched, t, CalibrationCurve())
+
+    def test_timing_must_match_the_schedule(self):
+        sched = _compiled([EncodingSymbol("Z", 0)])
+        other = TimingParams(master_rate=5e8, master_on_time=1.8e-9)
+        with pytest.raises(ScheduleParseError, match="compiled for"):
+            decompile_schedule(sched, other, CalibrationCurve())
 
     def test_window_needs_three_slave_pulses(self):
         t = TimingParams()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -145,11 +146,21 @@ class TestMonteCarlo:
         c = simulate_frames_mc(200_000, params, intens, seed=8)
         assert a.rows != c.rows
 
-    def test_partition_invariance(self):
-        params, intens = LinkParams(), DecoyIntensities()
-        serial = simulate_frames_mc(300_000, params, intens, seed=2, n_jobs=1)
-        threaded = simulate_frames_mc(300_000, params, intens, seed=2, n_jobs=4)
-        assert serial.rows == threaded.rows
+    # SHA-256 of the tally CSV at 10^6 frames and the default operating point.
+    # Any change to the sampler's random stream or tallying moves these, and
+    # acceptance criterion 6 is pinned to the current stream.
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "49c34f8ce1c30c7d418b3b1fb33183b23a7eebb9ac6fcfddf5806cf3b4122e89"),
+            (7, "1a06813949cda34d5968596a3964af3b9239e64a5e2287f11dbb74c0d75b4a71"),
+            (300, "cb795fdac78a4f3acbc504319e89a7bf426d1175a39dbf577946cb960395c29e"),
+        ],
+    )
+    def test_golden_tallies(self, seed, digest):
+        tallies = simulate_frames_mc(1_000_000, LinkParams(), DecoyIntensities(), seed=seed)
+        csv = "\n".join(tallies.csv_rows()).encode()
+        assert hashlib.sha256(csv).hexdigest() == digest
 
     def test_counts_are_consistent(self):
         params, intens = LinkParams(), DecoyIntensities()
