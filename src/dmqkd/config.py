@@ -58,6 +58,13 @@ class RunConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     mc: McSpec = field(default_factory=McSpec)
 
+    def __post_init__(self) -> None:
+        if self.link.clock != self.timing.master_rate:
+            raise ConfigurationError(
+                f"link clock {self.link.clock!r} Hz differs from the master rate "
+                f"{self.timing.master_rate!r} Hz"
+            )
+
     def decoy_table(self) -> dict[str, float]:
         """Per-class intensity fractions relative to the signal intensity."""
         i = self.intensities
@@ -157,11 +164,23 @@ def config_from_text(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigurationError(f"line {lineno}: unknown configuration key {key!r}")
+        if key in flat:
+            raise ConfigurationError(f"line {lineno}: repeated configuration key {key!r}")
         try:
             flat[key] = type(_DEFAULT_FLAT[key])(value)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}") from exc
     return config_from_flat(flat)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, rejecting a key that appears twice."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"configuration key {key!r} appears twice")
+        obj[key] = value
+    return obj
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -173,7 +192,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if path.suffix == ".json":
         try:
-            flat = json.loads(text)
+            flat = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"bad JSON in {path}: {exc}") from exc
         if not isinstance(flat, dict):

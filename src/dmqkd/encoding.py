@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigurationError, DmqkdError, InvalidSymbolError, ScheduleParseError
 from .photonics import Phase
@@ -32,6 +31,11 @@ _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
+
+# Slack (s) for comparing event times: a compiled event may overrun its
+# neighbour's start or its master window's end by float rounding, e.g. when
+# the three slave pulses fill the master gate exactly.
+_TIME_SLACK_S = 1e-15
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,8 @@ def compile_schedule(
     three slave drive pulses one AMZI delay apart, and two perturbation events
     carrying voltage_for_phase(phi12) and voltage_for_phase(phi23). Each
     perturbation is centered in the interval between consecutive slave onsets.
+    TimingParams already guarantees that events on one channel never overlap,
+    so none is checked here.
     """
     if not symbols:
         raise ConfigurationError("symbol stream is empty")
@@ -268,21 +274,7 @@ def compile_schedule(
                     voltage_for_phase(phi, cal),
                 )
             )
-    sched = WaveformSchedule(timing=timing, events=tuple(events))
-    _check_no_overlap(sched.events)
-    return sched
-
-
-def _check_no_overlap(events: Iterable[ScheduleEvent]) -> None:
-    """Raise if two events of one channel overlap; events come in start order."""
-    last_end: dict[str, float] = {}
-    for ev in events:
-        end = last_end.get(ev.channel)
-        if end is not None and ev.start < end - 1e-15:
-            raise ScheduleParseError(
-                f"overlapping events on channel {ev.channel} at t={ev.start}"
-            )
-        last_end[ev.channel] = ev.start + ev.duration
+    return WaveformSchedule(timing=timing, events=tuple(events))
 
 
 def _event_problem(ev: ScheduleEvent) -> str | None:
@@ -299,40 +291,14 @@ def _event_problem(ev: ScheduleEvent) -> str | None:
     return None
 
 
-def _master_windows(
-    masters: list[ScheduleEvent], events: list[ScheduleEvent], per_window: int, what: str
-) -> list[list[ScheduleEvent]]:
-    """Split start-sorted events into the windows [start, start + duration] of
-    the start-sorted masters.
-
-    An event belongs to a window when it starts and ends inside it. Each window
-    must hold exactly per_window events, and every event must lie in some
-    window. Candidates are found by bisecting the sorted starts, so the cost
-    is O(n log n) rather than a scan of every event per master.
-    """
-    starts = [ev.start for ev in events]
-    claimed = bytearray(len(events))
-    windows = []
-    for m in masters:
-        end = m.start + m.duration
-        members = [
-            j for j in range(bisect_left(starts, m.start), bisect_right(starts, end))
-            if starts[j] + events[j].duration <= end
-        ]
-        if len(members) != per_window:
+def _check_window(master: ScheduleEvent, n_perts: int, n_slaves: int) -> None:
+    """Raise unless a master window holds two perturbations and three slave pulses."""
+    for want, found, what in ((2, n_perts, "perturbation"), (3, n_slaves, "slave-drive")):
+        if found != want:
             raise ScheduleParseError(
-                f"expected {per_window} {what} events in master window at t={m.start}, "
-                f"found {len(members)}"
+                f"expected {want} {what} events in master window at t={master.start}, "
+                f"found {found}"
             )
-        for j in members:
-            claimed[j] = 1
-        windows.append([events[j] for j in members])
-    if not all(claimed):
-        stray = events[claimed.index(0)]
-        raise ScheduleParseError(
-            f"{stray.channel} event at t={stray.start!r} lies outside every master window"
-        )
-    return windows
 
 
 def decompile_schedule(
@@ -341,31 +307,55 @@ def decompile_schedule(
     """Recover the per-symbol phase pairs from a schedule.
 
     Accepts schedules produced by compile_schedule or hand-written with the
-    same conventions: every master window holds exactly two perturbations and
-    three slave-drive pulses, and no perturbation or slave pulse lies outside
-    every master window. Non-finite fields, non-positive durations, unknown
-    channels, malformed event counts and overlaps raise ScheduleParseError, as
-    does a timing that differs from the one the schedule carries.
+    same conventions: every master window [start, start + duration] holds
+    exactly two perturbations and three slave-drive pulses, and no
+    perturbation or slave pulse lies outside every master window. Non-finite
+    fields, non-positive durations, unknown channels, malformed event counts
+    and overlaps raise ScheduleParseError, as does a timing that differs from
+    the one the schedule carries.
+
+    One pass over the canonical (start, channel) order: a master opens a
+    window, and every other event must end inside the window of the latest
+    master. A master sorts before the other channels at the same start, and
+    masters do not overlap, so no earlier window can hold the event.
     """
     if timing != sched.timing:
         raise ScheduleParseError(
             f"schedule was compiled for {sched.timing}, not {timing}"
         )
+    levels: list[float] = []  # perturbation levels, two per checked window
+    last_end: dict[str, float] = {}
+    master: ScheduleEvent | None = None
+    n_perts = n_slaves = 0
     for ev in sched.events:
         problem = _event_problem(ev)
         if problem is not None:
             raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
-    _check_no_overlap(sched.events)
-    masters = [ev for ev in sched.events if ev.channel == CH_MASTER]
-    if not masters:
+        end = ev.start + ev.duration
+        if ev.start < last_end.get(ev.channel, -math.inf) - _TIME_SLACK_S:
+            raise ScheduleParseError(
+                f"overlapping events on channel {ev.channel} at t={ev.start}"
+            )
+        last_end[ev.channel] = end
+        if ev.channel == CH_MASTER:
+            if master is not None:
+                _check_window(master, n_perts, n_slaves)
+            master, n_perts, n_slaves = ev, 0, 0
+        elif master is None or end > master.start + master.duration + _TIME_SLACK_S:
+            raise ScheduleParseError(
+                f"{ev.channel} event at t={ev.start!r} lies outside every master window"
+            )
+        elif ev.channel == CH_PERT:
+            levels.append(ev.level)
+            n_perts += 1
+        else:
+            n_slaves += 1
+    if master is None:
         raise ScheduleParseError("schedule has no master drive events")
-    perts = [ev for ev in sched.events if ev.channel == CH_PERT]
-    slaves = [ev for ev in sched.events if ev.channel == CH_SLAVE]
-    pert_windows = _master_windows(masters, perts, 2, "perturbation")
-    _master_windows(masters, slaves, 3, "slave-drive")
+    _check_window(master, n_perts, n_slaves)
     return [
-        PhasePair(phase_for_voltage(p12.level, cal), phase_for_voltage(p23.level, cal))
-        for p12, p23 in pert_windows
+        PhasePair(phase_for_voltage(v12, cal), phase_for_voltage(v23, cal))
+        for v12, v23 in zip(levels[::2], levels[1::2])
     ]
 
 

@@ -110,11 +110,6 @@ class RowTally:
     detected: int = 0
     errors: int = 0
 
-    def merge(self, other: "RowTally") -> None:
-        self.sent += other.sent
-        self.detected += other.detected
-        self.errors += other.errors
-
 
 @dataclass
 class TallyCounts:
@@ -123,10 +118,6 @@ class TallyCounts:
     rows: dict[tuple[str, str], RowTally] = field(
         default_factory=lambda: {row: RowTally() for row in STATE_ROWS}
     )
-
-    def merge(self, other: "TallyCounts") -> None:
-        for key, tally in other.rows.items():
-            self.rows[key].merge(tally)
 
     def gain_qber(self, key: tuple[str, str]) -> GainQber:
         t = self.rows[key]

@@ -108,11 +108,11 @@ def mutual_information_bits(
 
 
 def sample_phi_lr(
-    phi23: float, n: int, rng: np.random.Generator
+    phi23: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """phi_LR samples for a fixed phi23 under uniformly random phi_rf."""
+    """phi_LR samples for phi23 (fixed, or one per sample) under uniformly random phi_rf."""
     phi_rf = rng.uniform(0.0, TWO_PI, size=n)
-    return ((phi_rf + float(phi23)) % TWO_PI) / 2.0
+    return ((phi_rf + phi23) % TWO_PI) / 2.0
 
 
 def sample_phi_erp(
@@ -185,9 +185,7 @@ def run_verification(
 
     # Mutual information between the Z-basis bit and phi_LR.
     bits = rng.integers(0, 2, size=n_uniform)
-    phi23 = np.where(bits == 0, math.pi, 0.0)
-    phi_rf = rng.uniform(0.0, TWO_PI, size=n_uniform)
-    phi_lr = ((phi_rf + phi23) % TWO_PI) / 2.0
+    phi_lr = sample_phi_lr(np.where(bits == 0, math.pi, 0.0), n_uniform, rng)
     mi = mutual_information_bits(bits, phi_lr)
     properties.append(
         {

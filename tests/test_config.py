@@ -13,6 +13,7 @@ from dmqkd.config import (
     load_config,
     with_overrides,
 )
+from dmqkd.encoding import TimingParams
 from dmqkd.errors import ConfigurationError
 
 
@@ -55,6 +56,10 @@ class TestFlatRoundTrip:
         cfg = config_from_flat({"master_rate_hz": 5e8, "master_on_time_s": 1.8e-9})
         assert cfg.link.clock == cfg.timing.master_rate == 5e8
         assert cfg.timing.slave_rate == 1.5e9
+
+    def test_clock_must_equal_master_rate(self):
+        with pytest.raises(ConfigurationError, match="clock"):
+            RunConfig(timing=TimingParams(master_rate=5e8, master_on_time=1.8e-9))
 
     @pytest.mark.parametrize(
         "key", ["slave_rate_hz", "amzi_delay_s", "perturbation_separation_s"]
@@ -107,6 +112,10 @@ class TestTextFormat:
         with pytest.raises(ConfigurationError, match="line 1"):
             config_from_text("loss_db = ten\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="line 3: repeated .* 'loss_db'"):
+            config_from_text("loss_db = 10\nmu = 0.4\nloss_db = 20\n")
+
 
 class TestLoadConfig:
     def test_text_file(self, tmp_path):
@@ -122,6 +131,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.txt")
+
+    def test_repeated_json_key_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"loss_db": 10, "loss_db": 20}')
+        with pytest.raises(ConfigurationError, match="'loss_db' appears twice"):
+            load_config(path)
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "run.json"

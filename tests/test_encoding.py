@@ -3,7 +3,7 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmqkd.encoding import (
@@ -35,12 +35,38 @@ from dmqkd.photonics import Phase
 
 TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
 TOKENS = ("Z0s", "Z1s", "Y0s", "Y1s", "Z0d", "Z1d", "Z0v", "Z1v")
+_LONG_STREAM = [parse_symbol_token(TOKENS[i % len(TOKENS)]) for i in range(256)]
 
 
 def streams(max_size):
     return st.lists(st.sampled_from(TOKENS), min_size=1, max_size=max_size).map(
         lambda toks: [parse_symbol_token(t) for t in toks]
     )
+
+
+@st.composite
+def timings(draw):
+    """Valid TimingParams from 10 MHz to 10 GHz, with each width at, next to
+    or anywhere between its bounds."""
+
+    def between(lo, hi):
+        inner = st.floats(lo, hi) if lo < hi else st.nothing()
+        return draw(st.one_of(st.just(lo), st.just(hi), inner))
+
+    rate = between(1e7, 1e10)
+    delay = 1.0 / (3.0 * rate)
+    slave_on = between(delay * 1e-3, delay)
+    kw = dict(
+        master_rate=rate,
+        perturbation_width=between(delay * 1e-3, math.nextafter(delay, 0.0)),
+        slave_on_time=slave_on,
+        master_on_time=between(2.0 * delay + slave_on, 1.0 / rate),
+    )
+    try:
+        return TimingParams(**kw)
+    except ConfigurationError:
+        # Rounding can push a bound just past what TimingParams accepts.
+        assume(False)
 
 
 class TestEncodingSymbol:
@@ -352,7 +378,8 @@ def _decompile_by_scan(sched, cal):
         return sorted((ev for ev in events if ev.channel == channel), key=lambda e: e.start)
 
     def inside(ev, m):
-        return m.start <= ev.start and ev.start + ev.duration <= m.start + m.duration
+        end = m.start + m.duration + 1e-15
+        return m.start <= ev.start and ev.start + ev.duration <= end
 
     masters, perts, slaves = on(CH_MASTER), on(CH_PERT), on(CH_SLAVE)
     if not masters:
@@ -426,14 +453,19 @@ class TestDecompileAgainstScan:
 
 
 class TestScheduleProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(stream=streams(200))
-    def test_compile_text_parse_decompile_round_trip(self, stream):
-        t, cal = TimingParams(), CalibrationCurve()
-        text = schedule_to_text(compile_schedule(stream, t, cal, TABLE))
+    @settings(max_examples=50, deadline=None)
+    @given(timing=timings(), stream=streams(200))
+    @example(timing=TimingParams(), stream=_LONG_STREAM)
+    # The three slave pulses fill the gate exactly (2 * amzi_delay +
+    # slave_on_time == master_on_time), so the last one ends on the gate's
+    # end give or take float rounding.
+    @example(timing=TimingParams(master_on_time=1.3e-9), stream=_LONG_STREAM)
+    def test_compile_text_parse_decompile_round_trip(self, timing, stream):
+        cal = CalibrationCurve()
+        text = schedule_to_text(compile_schedule(stream, timing, cal, TABLE))
         back = schedule_from_text(text)
         assert schedule_to_text(back) == text
-        pairs = decompile_schedule(back, t, cal)
+        pairs = decompile_schedule(back, timing, cal)
         assert len(pairs) == len(stream)
         for sym, got in zip(stream, pairs):
             want = encode_symbol(sym, TABLE)

@@ -186,16 +186,6 @@ class TestMonteCarlo:
         g = tallies.gain_qber(("signal", "Z"))
         assert g.q == 0.0 and g.e == 0.5
 
-    def test_merge(self):
-        params, intens = LinkParams(), DecoyIntensities()
-        a = simulate_frames_mc(50_000, params, intens, seed=1)
-        b = simulate_frames_mc(50_000, params, intens, seed=2)
-        merged = TallyCounts()
-        merged.merge(a)
-        merged.merge(b)
-        key = ("signal", "Y")
-        assert merged.rows[key].sent == a.rows[key].sent + b.rows[key].sent
-
     def test_csv_rows(self):
         tallies = TallyCounts()
         lines = tallies.csv_rows()
