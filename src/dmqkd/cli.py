@@ -29,7 +29,7 @@ from .encoding import (
     schedule_to_text,
     symbol_token,
 )
-from .errors import DmqkdError, ModelValidityError
+from .errors import ConfigurationError, DmqkdError, ModelValidityError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,13 +37,9 @@ EXIT_PROPERTY = 2
 EXIT_MODEL = 3
 
 
-class _UsageError(DmqkdError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):  # map argparse's exit(2) onto exit 1
-        raise _UsageError(message)
+        raise ConfigurationError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,10 +78,13 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
-    text = args.stream.read_text()
+    try:
+        text = args.stream.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read symbol stream {args.stream}: {exc}") from exc
     symbols = parse_symbol_stream(text)
     if not symbols:
-        raise _UsageError(f"symbol stream {args.stream} is empty")
+        raise ConfigurationError(f"symbol stream {args.stream} is empty")
     table = cfg.decoy_table()
     sched = compile_schedule(symbols, cfg.timing, cfg.calibration, table)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -120,7 +119,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.mc.n_frames < 10_000:
-        raise _UsageError(
+        raise ConfigurationError(
             f"mc needs at least 10000 frames, got {cfg.mc.n_frames}"
         )
     probs = linksim.default_state_probs(cfg.link, cfg.z_mix)
@@ -215,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (_UsageError, DmqkdError, OSError) as exc:
+    except (DmqkdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

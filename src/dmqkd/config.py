@@ -19,6 +19,10 @@ from .errors import ConfigurationError
 from .linksim import DecoyIntensities, LinkParams
 
 
+# Most points a sweep may hold; decoy.sweep_loss takes floor(range/step + 1e-9) + 1.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     loss_min_db: float = 0.0
@@ -33,6 +37,12 @@ class SweepSpec:
             )
         if not (math.isfinite(step) and step > 0.0):
             raise ConfigurationError(f"loss step must be > 0, got {step!r}")
+        # Compared as floats: the point count can be too large for an int.
+        if (hi - lo) / step + 1e-9 >= MAX_SWEEP_POINTS:
+            raise ConfigurationError(
+                f"sweep {lo!r}..{hi!r} dB in steps of {step!r} dB has more than "
+                f"{MAX_SWEEP_POINTS} points"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,8 +197,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Load a configuration from a .json file or the key-value text format."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if path.suffix == ".json":
         try:

@@ -18,9 +18,7 @@ from .linksim import (
     DecoyIntensities,
     GainQber,
     LinkParams,
-    analytic_gain_qber,
-    link_dark_prob,
-    transmittance,
+    signal_click_probs,
     with_loss,
 )
 
@@ -158,14 +156,16 @@ def secure_key_rate(
 def analytic_class_gains(
     params: LinkParams, intens: DecoyIntensities
 ) -> tuple[GainQber, GainQber, GainQber]:
-    """Analytic (mu, nu, omega) gains/QBERs at the params' operating point."""
-    eta = transmittance(params.loss_db, params.det_efficiency)
-    y0 = link_dark_prob(params)
-    return (
-        analytic_gain_qber(intens.mu, eta, y0, params.e_det),
-        analytic_gain_qber(intens.nu, eta, y0, params.e_det),
-        analytic_gain_qber(intens.omega, eta, y0, params.e_det),
-    )
+    """Analytic (mu, nu, omega) gains/QBERs at the params' operating point:
+    Q = Y0 + the Z row's signal-click probability (GLLP), with errors e_det on
+    signal clicks and random on dark counts; a dead channel gets E = 0.5."""
+    y0, e_det = params.y0, params.e_det
+    _, mu, nu, omega = signal_click_probs(params, intens)  # STATE_ROWS order
+    gains = []
+    for sig in (mu, nu, omega):
+        q = y0 + sig  # >= 0, and 0 only on a dead channel
+        gains.append(GainQber(q, min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5))
+    return tuple(gains)
 
 
 def rate_at_loss(

@@ -32,10 +32,13 @@ _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
 
-# Slack (s) for comparing event times: a compiled event may overrun its
-# neighbour's start or its master window's end by float rounding, e.g. when
-# the three slave pulses fill the master gate exactly.
-_TIME_SLACK_S = 1e-15
+
+# Slack (s) for comparing an event time with the time t: a compiled event may
+# overrun its neighbour's start or its master window's end t by float rounding,
+# e.g. when the three slave pulses fill the master gate exactly. Rounding grows
+# with t, so the slack is four ulps of t and at least 1 fs (also for t = inf).
+def _time_slack(t: float) -> float:
+    return max(1e-15, 4 * math.ulp(t)) if t < math.inf else 1e-15
 
 
 @dataclass(frozen=True)
@@ -324,24 +327,26 @@ def decompile_schedule(
             f"schedule was compiled for {sched.timing}, not {timing}"
         )
     levels: list[float] = []  # perturbation levels, two per checked window
-    last_end: dict[str, float] = {}
+    earliest_start: dict[str, float] = {}  # per channel: last event's end, less slack
     master: ScheduleEvent | None = None
+    window_end = -math.inf  # the latest master's end, plus slack
     n_perts = n_slaves = 0
     for ev in sched.events:
         problem = _event_problem(ev)
         if problem is not None:
             raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
         end = ev.start + ev.duration
-        if ev.start < last_end.get(ev.channel, -math.inf) - _TIME_SLACK_S:
+        if ev.start < earliest_start.get(ev.channel, -math.inf):
             raise ScheduleParseError(
                 f"overlapping events on channel {ev.channel} at t={ev.start}"
             )
-        last_end[ev.channel] = end
+        earliest_start[ev.channel] = end - _time_slack(end)
         if ev.channel == CH_MASTER:
             if master is not None:
                 _check_window(master, n_perts, n_slaves)
             master, n_perts, n_slaves = ev, 0, 0
-        elif master is None or end > master.start + master.duration + _TIME_SLACK_S:
+            window_end = end + _time_slack(end)
+        elif end > window_end:
             raise ScheduleParseError(
                 f"{ev.channel} event at t={ev.start!r} lies outside every master window"
             )

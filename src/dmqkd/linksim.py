@@ -1,9 +1,12 @@
 """Channel, detector and receiver model: analytic gains/QBERs and Monte Carlo.
 
 The channel is a flat attenuator; detection of a mean-photon-number lambda
-pulse train is Poissonian with click probability 1 - exp(-eta*lambda). Dark
-counts are linearized over the detection window. Bob chooses his basis
-passively with a beamsplitter; only basis-matched (sifted) frames are tallied.
+pulse train is Poissonian with click probability 1 - e^(-eta*lambda). Dark
+counts are linearized over the detection window. The link model is defined
+once: LinkParams.eta, LinkParams.y0 and signal_click_probs feed the sampler,
+its expected gains/QBERs and decoy.analytic_class_gains alike. Bob chooses
+his basis passively with a beamsplitter; only basis-matched (sifted) frames
+are tallied.
 
 The Y-basis receiver interferes the time bins in a second AMZI and measures a
 single output pulse, which costs a constant efficiency factor
@@ -64,6 +67,23 @@ class LinkParams:
             raise ConfigurationError(f"clock must be > 0, got {self.clock!r}")
         if not (math.isfinite(self.f_ec) and self.f_ec >= 1.0):
             raise ConfigurationError(f"f_ec must be >= 1, got {self.f_ec!r}")
+
+    @property
+    def eta(self) -> float:
+        """Overall photon survival probability: detector efficiency times channel."""
+        return self.det_efficiency * 10.0 ** (-self.loss_db / 10.0)
+
+    @property
+    def y0(self) -> float:
+        """Dark-click probability per frame of the two detectors, linearized
+        over the window; above 0.1 it raises ModelValidityError rather than
+        silently extrapolating."""
+        y0 = 2 * self.dark_rate * self.window
+        if y0 > 0.1:
+            raise ModelValidityError(
+                f"dark probability {y0} too large for the linearized model"
+            )
+        return y0
 
 
 @dataclass(frozen=True)
@@ -132,53 +152,6 @@ class TallyCounts:
         return lines
 
 
-def transmittance(loss_db: float, det_efficiency: float) -> float:
-    """Overall photon survival probability: detector efficiency times channel."""
-    if not (math.isfinite(loss_db) and loss_db >= 0.0):
-        raise ConfigurationError(f"loss_db must be >= 0, got {loss_db!r}")
-    if not (0.0 <= det_efficiency <= 1.0):
-        raise ConfigurationError(
-            f"det_efficiency must lie in [0, 1], got {det_efficiency!r}"
-        )
-    return det_efficiency * 10.0 ** (-loss_db / 10.0)
-
-
-def dark_prob(dark_rate: float, window: float, n_detectors: int = 2) -> float:
-    """Background click probability per frame, linearized over the window.
-
-    Valid only while the product stays well below 1; larger values raise
-    ModelValidityError rather than silently extrapolating.
-    """
-    if dark_rate < 0.0 or window < 0.0 or n_detectors < 0:
-        raise ConfigurationError("dark_prob arguments must be nonnegative")
-    y0 = n_detectors * dark_rate * window
-    if y0 > 0.1:
-        raise ModelValidityError(
-            f"dark probability {y0} too large for the linearized model"
-        )
-    return y0
-
-
-def analytic_gain_qber(lam: float, eta: float, y0: float, e_det: float) -> GainQber:
-    """Asymptotic gain and QBER of a phase-randomised class at mean photon lam.
-
-    Q = Y0 + 1 - exp(-eta*lam); errors are e_det on signal clicks and random
-    on dark counts. A dead channel returns E = 0.5 by convention.
-    """
-    if lam < 0.0 or not (0.0 <= eta <= 1.0):
-        raise ConfigurationError("need lam >= 0 and eta in [0, 1]")
-    sig = 1.0 - math.exp(-eta * lam)
-    q = y0 + sig
-    if q <= 0.0:
-        return GainQber(0.0, 0.5)
-    e = (0.5 * y0 + e_det * sig) / q
-    return GainQber(q, min(e, 1.0))
-
-
-def link_dark_prob(params: LinkParams) -> float:
-    return dark_prob(params.dark_rate, params.window, 2)
-
-
 def default_state_probs(
     params: LinkParams, z_mix: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)
 ) -> dict[tuple[str, str], float]:
@@ -198,20 +171,26 @@ def default_state_probs(
     }
 
 
+def signal_click_probs(
+    params: LinkParams, intens: DecoyIntensities
+) -> tuple[float, float, float, float]:
+    """Per-row probability that the pulse itself (not a dark count) clicks,
+    in STATE_ROWS order; the Y-basis row carries the receiver factor."""
+    eta = params.eta
+    mu, nu, omega = [1.0 - math.exp(-eta * lam) for lam in (intens.mu, intens.nu, intens.omega)]
+    return params.y_receiver_factor * mu, mu, nu, omega
+
+
 def expected_row_stats(
     key: tuple[str, str], params: LinkParams, intens: DecoyIntensities
 ) -> GainQber:
     """Exact per-sifted-frame detection probability and QBER of the MC process.
 
-    Matches analytic_gain_qber up to the negligible dark-and-signal coincidence
-    term; Y-basis rows carry the receiver efficiency factor.
+    Matches decoy.analytic_class_gains up to the negligible dark-and-signal
+    coincidence term.
     """
-    cls, basis = key
-    eta = transmittance(params.loss_db, params.det_efficiency)
-    y0 = link_dark_prob(params)
-    lam = intens.of_class(cls)
-    factor = params.y_receiver_factor if basis == "Y" else 1.0
-    p_sig = factor * (1.0 - math.exp(-eta * lam))
+    y0 = params.y0
+    p_sig = signal_click_probs(params, intens)[STATE_ROWS.index(key)]
     p_det = 1.0 - (1.0 - y0) * (1.0 - p_sig)
     if p_det <= 0.0:
         return GainQber(0.0, 0.5)
@@ -278,13 +257,8 @@ def simulate_frames_mc(
     if extra:
         raise ConfigurationError(f"unknown state rows in probabilities: {sorted(extra)}")
 
-    eta = transmittance(params.loss_db, params.det_efficiency)
-    y0 = link_dark_prob(params)
-    lams = np.array([intens.of_class(cls) for cls, _ in STATE_ROWS])
-    factors = np.array(
-        [params.y_receiver_factor if basis == "Y" else 1.0 for _, basis in STATE_ROWS]
-    )
-    p_sig = factors * (1.0 - np.exp(-eta * lams))
+    y0 = params.y0
+    p_sig = np.array(signal_click_probs(params, intens))
 
     total = sum(
         _simulate_block(

@@ -29,6 +29,15 @@ from .encoding import EncodingSymbol, PhasePair, encode_symbol
 from .errors import SampleSizeError
 from .photonics import TWO_PI, Phase
 
+# Sizes and thresholds of run_verification: exact-check draws, samples per
+# statistical test, the uniformity p-value level, the mutual-information
+# ceiling (bits) and its histogram's phase bins.
+N_EXACT = 10_000
+N_UNIFORM = 100_000
+P_THRESHOLD = 0.01
+MI_THRESHOLD = 0.01
+MI_BINS = 32
+
 
 @dataclass(frozen=True)
 class LeakagePhases:
@@ -87,13 +96,11 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
     return p
 
 
-def mutual_information_bits(
-    labels: Sequence[int], phases: Sequence[float], bins: int = 32
-) -> float:
-    """Histogram estimate (in bits) of I(label; phase) with `bins` phase bins."""
+def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
+    """Histogram estimate (in bits) of I(label; phase) with MI_BINS phase bins."""
     labels = np.asarray(labels)
     phases = np.asarray(phases, dtype=float) % TWO_PI
-    edges = np.linspace(0.0, TWO_PI, bins + 1)
+    edges = np.linspace(0.0, TWO_PI, MI_BINS + 1)
     values = np.unique(labels)
     n = labels.size
     joint = np.stack(
@@ -134,13 +141,7 @@ _SIGNAL_TABLE = {"signal": 1.0}
 FIXED_ENCODING_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 
 
-def run_verification(
-    seed: int = 0,
-    n_exact: int = 10_000,
-    n_uniform: int = 100_000,
-    p_threshold: float = 0.01,
-    mi_threshold: float = 0.01,
-) -> dict:
+def run_verification(seed: int = 0) -> dict:
     """Run the full property suite and return a JSON-serializable report.
 
     Properties: exact R/R_P-bin amplitude equality across encodings, axial
@@ -155,7 +156,7 @@ def run_verification(
 
     # Exact R-bin (and R_P-bin) indistinguishability across the four encodings.
     max_dev = 0.0
-    for _ in range(n_exact):
+    for _ in range(N_EXACT):
         phi1 = rng.uniform(0.0, TWO_PI)
         phi_rf = rng.uniform(0.0, TWO_PI)
         amps = [r_bin_amplitude(pp, phi1, phi_rf, 1.0) for pp in pairs]
@@ -166,46 +167,46 @@ def run_verification(
             "name": "r_bin_amplitude_encoding_invariance",
             "passed": max_dev < 1e-12,
             "max_deviation": max_dev,
-            "draws": n_exact,
+            "draws": N_EXACT,
         }
     )
 
     # One-time-pad uniformity of the leakage phases at every fixed setting.
     for name, sampler in (("phi_lr", sample_phi_lr), ("phi_erp", sample_phi_erp)):
         for fixed in FIXED_ENCODING_PHASES:
-            p = axial_uniformity_p(sampler(fixed, n_uniform, rng))
+            p = axial_uniformity_p(sampler(fixed, N_UNIFORM, rng))
             properties.append(
                 {
                     "name": f"{name}_uniform_at_{fixed / math.pi:.2f}pi",
-                    "passed": p > p_threshold,
+                    "passed": p > P_THRESHOLD,
                     "p_value": p,
-                    "samples": n_uniform,
+                    "samples": N_UNIFORM,
                 }
             )
 
     # Mutual information between the Z-basis bit and phi_LR.
-    bits = rng.integers(0, 2, size=n_uniform)
-    phi_lr = sample_phi_lr(np.where(bits == 0, math.pi, 0.0), n_uniform, rng)
+    bits = rng.integers(0, 2, size=N_UNIFORM)
+    phi_lr = sample_phi_lr(np.where(bits == 0, math.pi, 0.0), N_UNIFORM, rng)
     mi = mutual_information_bits(bits, phi_lr)
     properties.append(
         {
             "name": "bit_phi_lr_mutual_information",
-            "passed": mi < mi_threshold,
+            "passed": mi < MI_THRESHOLD,
             "mi_bits": mi,
-            "samples": n_uniform,
+            "samples": N_UNIFORM,
         }
     )
 
     # Negative control: a padding phase concentrated around 0 leaks, and the
     # uniformity test must detect it.
-    concentrated = (rng.normal(0.0, 0.3, size=n_uniform) % TWO_PI + math.pi) % TWO_PI / 2.0
+    concentrated = (rng.normal(0.0, 0.3, size=N_UNIFORM) % TWO_PI + math.pi) % TWO_PI / 2.0
     p_control = axial_uniformity_p(concentrated)
     properties.append(
         {
             "name": "negative_control_nonuniform_detected",
-            "passed": p_control < p_threshold,
+            "passed": p_control < P_THRESHOLD,
             "p_value": p_control,
-            "samples": n_uniform,
+            "samples": N_UNIFORM,
         }
     )
 

@@ -45,6 +45,12 @@ class TestEncode:
     def test_missing_file(self, tmp_path):
         assert run("--out", str(tmp_path), "encode", str(tmp_path / "no.txt")) == EXIT_USAGE
 
+    def test_non_utf8_stream_is_usage_error(self, tmp_path, capsys):
+        stream = tmp_path / "stream.txt"
+        stream.write_bytes(b"Z0s \xff\xfe Y1s\n")
+        assert run("--out", str(tmp_path), "encode", str(stream)) == EXIT_USAGE
+        assert str(stream) in capsys.readouterr().err
+
 
 class TestSweep:
     def test_default_range(self, tmp_path, capsys):
@@ -79,7 +85,20 @@ class TestSweep:
     def test_invalid_model_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("dark_rate_hz = 1e9\n")
-        assert run("--config", str(cfg), "--out", str(tmp_path), "sweep") == EXIT_MODEL
+        base = ("--config", str(cfg), "--out", str(tmp_path))
+        assert run(*base, "sweep") == EXIT_MODEL
+        assert run(*base, "--frames", "20000", "mc") == EXIT_MODEL
+        # Only the link models read Y0, so the config itself loads.
+        assert run("--config", str(cfg), "write-defaults", str(tmp_path / "d.txt")) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--loss-step", "1e-300"), ("--loss-max", "1e308", "--loss-step", "1")],
+    )
+    def test_too_many_points_is_usage_error(self, tmp_path, capsys, argv):
+        assert run("--out", str(tmp_path), *argv, "sweep") == EXIT_USAGE
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestMc:
@@ -153,6 +172,12 @@ class TestUsage:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("mystery = 1.0\n")
         assert run("--config", str(cfg), "sweep") == EXIT_USAGE
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"loss_db = 20\n# \xff\n")
+        assert run("--config", str(cfg), "sweep") == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
 
     def test_wrong_config_type(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmqkd.config import (
+    MAX_SWEEP_POINTS,
     RunConfig,
+    SweepSpec,
     config_from_flat,
     config_from_text,
     config_to_flat,
@@ -221,6 +223,14 @@ class TestOverrides:
     def test_invalid_overrides_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             with_overrides(RunConfig(), **overrides)
+
+    def test_sweep_point_cap(self):
+        # 0..999,999 dB in 1 dB steps is exactly MAX_SWEEP_POINTS points.
+        SweepSpec(0.0, MAX_SWEEP_POINTS - 1.0, 1.0)
+        for lo, hi, step in ((0.0, float(MAX_SWEEP_POINTS), 1.0), (0.0, 60.0, 5e-324),
+                             (0.0, 1.7e308, 1e-300)):
+            with pytest.raises(ConfigurationError, match="points"):
+                SweepSpec(lo, hi, step)
 
     def test_range_checked_after_all_overrides(self):
         cfg = with_overrides(RunConfig(), loss_min=70.0, loss_max=80.0)

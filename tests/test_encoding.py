@@ -36,6 +36,7 @@ from dmqkd.photonics import Phase
 TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
 TOKENS = ("Z0s", "Z1s", "Y0s", "Y1s", "Z0d", "Z1d", "Z0v", "Z1v")
 _LONG_STREAM = [parse_symbol_token(TOKENS[i % len(TOKENS)]) for i in range(256)]
+_SLOW_DELAY = 1 / 3  # the AMZI delay (s) of a 1 Hz master clock
 
 
 def streams(max_size):
@@ -46,14 +47,14 @@ def streams(max_size):
 
 @st.composite
 def timings(draw):
-    """Valid TimingParams from 10 MHz to 10 GHz, with each width at, next to
-    or anywhere between its bounds."""
+    """Valid TimingParams from 1 Hz to 10 GHz, with each width at, next to or
+    anywhere between its bounds."""
 
     def between(lo, hi):
         inner = st.floats(lo, hi) if lo < hi else st.nothing()
         return draw(st.one_of(st.just(lo), st.just(hi), inner))
 
-    rate = between(1e7, 1e10)
+    rate = between(1.0, 1e10)
     delay = 1.0 / (3.0 * rate)
     slave_on = between(delay * 1e-3, delay)
     kw = dict(
@@ -247,6 +248,23 @@ class TestScheduleCompile:
         with pytest.raises(ScheduleParseError):
             decompile_schedule(WaveformSchedule(timing=t, events=events), t, cal)
 
+    def test_overlap_after_an_end_that_overflows(self):
+        # The first master ends at 1e308 + 1e308 = inf; its slack must keep
+        # that bound at inf rather than inf - inf = nan.
+        t, cal = TimingParams(), CalibrationCurve()
+        events = []
+        for start, duration in ((1e308, 1e308), (1.5e308, 1e307)):
+            events.append(ScheduleEvent(CH_MASTER, start, duration, 1.0))
+            for k in (1, 2):
+                events.append(ScheduleEvent(CH_PERT, start + k * 1e306, 1e300, 0.4))
+            for k in (3, 4, 5):
+                events.append(ScheduleEvent(CH_SLAVE, start + k * 1e306, 1e300, 1.0))
+        sched = WaveformSchedule(timing=t, events=tuple(events))
+        with pytest.raises(ScheduleParseError, match="overlapping"):
+            decompile_schedule(sched, t, cal)
+        with pytest.raises(ScheduleParseError):
+            _decompile_by_scan(sched, cal)
+
 
 _HEADER = (
     "# timing master_rate=666666666.6666666 perturbation_width=1.5e-10"
@@ -357,6 +375,11 @@ def _json_by_dumps(sched):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _slack(t):
+    """Rounding allowance at the time t: a few ulps of t, at least 1 fs."""
+    return max(1e-15, 4 * math.ulp(t)) if t < math.inf else 1e-15
+
+
 def _decompile_by_scan(sched, cal):
     """Quadratic reference decompiler: every check is a scan of all events."""
     events = sched.events
@@ -370,7 +393,8 @@ def _decompile_by_scan(sched, cal):
     for i, a in enumerate(events):
         for b in events[i + 1:]:
             if a.channel == b.channel and any(
-                x.start <= y.start < x.start + x.duration - 1e-15 for x, y in ((a, b), (b, a))
+                x.start <= y.start < x.start + x.duration - _slack(x.start + x.duration)
+                for x, y in ((a, b), (b, a))
             ):
                 raise ScheduleParseError("overlap")
 
@@ -378,8 +402,8 @@ def _decompile_by_scan(sched, cal):
         return sorted((ev for ev in events if ev.channel == channel), key=lambda e: e.start)
 
     def inside(ev, m):
-        end = m.start + m.duration + 1e-15
-        return m.start <= ev.start and ev.start + ev.duration <= end
+        end = m.start + m.duration
+        return m.start <= ev.start and ev.start + ev.duration <= end + _slack(end)
 
     masters, perts, slaves = on(CH_MASTER), on(CH_PERT), on(CH_SLAVE)
     if not masters:
@@ -460,6 +484,13 @@ class TestScheduleProperties:
     # slave_on_time == master_on_time), so the last one ends on the gate's
     # end give or take float rounding.
     @example(timing=TimingParams(master_on_time=1.3e-9), stream=_LONG_STREAM)
+    # At 1 Hz the rounding of event times outgrows any fixed slack: with a
+    # 1 fs slack the slave pulse at t = 16.67 s fell outside its window.
+    @example(
+        timing=TimingParams(master_rate=1.0, perturbation_width=_SLOW_DELAY / 3,
+                            slave_on_time=_SLOW_DELAY / 2, master_on_time=2.5 * _SLOW_DELAY),
+        stream=_LONG_STREAM,
+    )
     def test_compile_text_parse_decompile_round_trip(self, timing, stream):
         cal = CalibrationCurve()
         text = schedule_to_text(compile_schedule(stream, timing, cal, TABLE))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dmqkd.decoy import analytic_class_gains
 from dmqkd.errors import ConfigurationError, ModelValidityError
 from dmqkd.linksim import (
     STATE_ROWS,
@@ -10,62 +11,60 @@ from dmqkd.linksim import (
     GainQber,
     LinkParams,
     TallyCounts,
-    analytic_gain_qber,
-    dark_prob,
     default_state_probs,
     expected_row_stats,
-    link_dark_prob,
+    signal_click_probs,
     simulate_frames_mc,
-    transmittance,
     with_loss,
 )
 
 
 class TestTransmittance:
-    def test_known_values(self):
-        assert transmittance(15.0, 0.7) == pytest.approx(0.022135943621178652, rel=1e-15)
-        assert transmittance(48.0, 0.7) == pytest.approx(1.1094252347227798e-05, rel=1e-15)
-        assert transmittance(0.0, 1.0) == 1.0
+    """LinkParams.eta: detector efficiency times channel transmission."""
 
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            transmittance(-1.0, 0.7)
-        with pytest.raises(ConfigurationError):
-            transmittance(10.0, 1.2)
+    def test_known_values(self):
+        assert LinkParams(loss_db=15.0).eta == pytest.approx(0.022135943621178652, rel=1e-15)
+        assert LinkParams(loss_db=48.0).eta == pytest.approx(1.1094252347227798e-05, rel=1e-15)
+        assert LinkParams(loss_db=0.0, det_efficiency=1.0).eta == 1.0
 
 
 class TestDarkProb:
+    """LinkParams.y0: dark clicks of both detectors over the window."""
+
     def test_default_operating_point(self):
-        assert dark_prob(50.0, 300e-12) == pytest.approx(3e-8, rel=1e-12)
-        assert link_dark_prob(LinkParams()) == pytest.approx(3e-8, rel=1e-12)
+        assert LinkParams().y0 == pytest.approx(3e-8, rel=1e-12)
 
     def test_linearization_limit(self):
+        # Checked when read, not when built: only the link models need it.
+        params = LinkParams(dark_rate=1e9, window=1e-9)
         with pytest.raises(ModelValidityError):
-            dark_prob(1e9, 1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            dark_prob(-1.0, 1e-9)
+            params.y0
 
 
 class TestAnalyticGainQber:
+    """decoy.analytic_class_gains: Q = Y0 + signal click, per Z row."""
+
     def test_default_signal_class(self):
-        eta = transmittance(15.0, 0.7)
-        g = analytic_gain_qber(0.4, eta, 3e-8, 0.033)
+        g, _, _ = analytic_class_gains(LinkParams(), DecoyIntensities())
         assert g.q == pytest.approx(0.008815322890016408, rel=1e-12)
         assert g.e == pytest.approx(0.03300158927814369, rel=1e-12)
 
     def test_dead_channel_convention(self):
-        g = analytic_gain_qber(0.0, 0.0, 0.0, 0.033)
-        assert g.q == 0.0 and g.e == 0.5
+        params = LinkParams(det_efficiency=0.0, dark_rate=0.0)
+        for g in analytic_class_gains(params, DecoyIntensities()):
+            assert g.q == 0.0 and g.e == 0.5
 
     def test_dark_dominated_qber_approaches_half(self):
-        g = analytic_gain_qber(0.4, 1e-12, 1e-3, 0.033)
+        # eta = 7e-13 and Y0 = 2 * dark_rate * window = 1e-3.
+        params = LinkParams(loss_db=120.0, dark_rate=5e5, window=1e-9)
+        g, _, _ = analytic_class_gains(params, DecoyIntensities())
         assert g.e == pytest.approx(0.5, rel=1e-3)
 
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            analytic_gain_qber(-0.1, 0.5, 0.0, 0.033)
+    def test_z_rows_share_the_signal_click_probabilities(self):
+        params, intens = LinkParams(), DecoyIntensities()
+        _, *z_sig = signal_click_probs(params, intens)
+        for g, sig in zip(analytic_class_gains(params, intens), z_sig):
+            assert g.q == params.y0 + sig
 
 
 class TestParamValidation:
@@ -78,6 +77,10 @@ class TestParamValidation:
             LinkParams(f_ec=0.9)
         with pytest.raises(ConfigurationError):
             LinkParams(clock=0.0)
+        with pytest.raises(ConfigurationError):
+            LinkParams(dark_rate=-1.0)
+        with pytest.raises(ConfigurationError):
+            LinkParams(window=-1e-9)
 
     def test_intensities(self):
         DecoyIntensities(0.4, 0.16, 0.015)
@@ -120,11 +123,9 @@ class TestStateProbs:
 class TestExpectedRowStats:
     def test_z_rows_match_analytic_gains(self):
         params, intens = LinkParams(), DecoyIntensities()
-        eta = transmittance(params.loss_db, params.det_efficiency)
-        y0 = link_dark_prob(params)
-        for cls in ("signal", "decoy", "vacuum"):
+        gains = analytic_class_gains(params, intens)
+        for cls, ana in zip(("signal", "decoy", "vacuum"), gains):
             exp = expected_row_stats((cls, "Z"), params, intens)
-            ana = analytic_gain_qber(intens.of_class(cls), eta, y0, params.e_det)
             # They differ only by the dark/signal coincidence term y0 * p_sig.
             assert exp.q == pytest.approx(ana.q, abs=1e-9)
             assert exp.e == pytest.approx(ana.e, abs=1e-6)
@@ -133,8 +134,7 @@ class TestExpectedRowStats:
         params, intens = LinkParams(), DecoyIntensities()
         y = expected_row_stats(("signal", "Y"), params, intens)
         z = expected_row_stats(("signal", "Z"), params, intens)
-        y0 = link_dark_prob(params)
-        assert (y.q - y0) / (z.q - y0) == pytest.approx(0.5, abs=1e-6)
+        assert (y.q - params.y0) / (z.q - params.y0) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestMonteCarlo:
