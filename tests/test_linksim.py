@@ -27,6 +27,12 @@ class TestTransmittance:
         assert LinkParams(loss_db=48.0).eta == pytest.approx(1.1094252347227798e-05, rel=1e-15)
         assert LinkParams(loss_db=0.0, det_efficiency=1.0).eta == 1.0
 
+    def test_domain(self):
+        with pytest.raises(ConfigurationError):
+            LinkParams(loss_db=-1.0)
+        with pytest.raises(ConfigurationError):
+            LinkParams(loss_db=10.0, det_efficiency=1.2)
+
 
 class TestDarkProb:
     """LinkParams.y0: dark clicks of both detectors over the window."""
@@ -39,6 +45,12 @@ class TestDarkProb:
         params = LinkParams(dark_rate=1e9, window=1e-9)
         with pytest.raises(ModelValidityError):
             params.y0
+
+    def test_domain(self):
+        with pytest.raises(ConfigurationError):
+            LinkParams(dark_rate=-1.0, window=1e-9)
+        with pytest.raises(ConfigurationError):
+            LinkParams(dark_rate=50.0, window=-1e-9)
 
 
 class TestAnalyticGainQber:
@@ -66,6 +78,11 @@ class TestAnalyticGainQber:
         for g, sig in zip(analytic_class_gains(params, intens), z_sig):
             assert g.q == params.y0 + sig
 
+    def test_domain(self):
+        # A negative intensity cannot reach the model: DecoyIntensities refuses it.
+        with pytest.raises(ConfigurationError):
+            analytic_class_gains(LinkParams(), DecoyIntensities(0.4, 0.16, -0.1))
+
 
 class TestParamValidation:
     def test_link_params(self):
@@ -77,10 +94,6 @@ class TestParamValidation:
             LinkParams(f_ec=0.9)
         with pytest.raises(ConfigurationError):
             LinkParams(clock=0.0)
-        with pytest.raises(ConfigurationError):
-            LinkParams(dark_rate=-1.0)
-        with pytest.raises(ConfigurationError):
-            LinkParams(window=-1e-9)
 
     def test_intensities(self):
         DecoyIntensities(0.4, 0.16, 0.015)
