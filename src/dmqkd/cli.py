@@ -117,6 +117,15 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _z_score(empirical: float, expected: float, trials: int) -> float | None:
+    """(empirical - expected) in binomial standard deviations over `trials`;
+    None when there are no trials or the standard deviation is 0."""
+    if not trials:
+        return None
+    sigma = math.sqrt(expected * (1.0 - expected) / trials)
+    return (empirical - expected) / sigma if sigma else None
+
+
 def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.mc.n_frames < 10_000:
         raise ConfigurationError(
@@ -131,7 +140,6 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
         emp = tallies.gain_qber(key)
         exp = linksim.expected_row_stats(key, cfg.link, cfg.intensities)
         t = tallies.rows[key]
-        sigma_q = math.sqrt(exp.q * (1.0 - exp.q) / t.sent) if t.sent else float("inf")
         comparison.append(
             {
                 "class": key[0],
@@ -141,9 +149,10 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "errors": t.errors,
                 "q_empirical": emp.q,
                 "q_analytic": exp.q,
-                "q_delta_sigma": (emp.q - exp.q) / sigma_q if t.sent else None,
+                "q_delta_sigma": _z_score(emp.q, exp.q, t.sent),
                 "e_empirical": emp.e,
                 "e_analytic": exp.e,
+                "e_delta_sigma": _z_score(emp.e, exp.e, t.detected),
             }
         )
     # Decoy bounds from the empirical Z-basis gains, next to the analytic ones.

@@ -10,17 +10,17 @@ counts, a 300 ps detection window, V-pi = 0.8 V, e_det = 3.3% and f_ec = 1.16.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .decoy import sweep_point_count
 from .encoding import CalibrationCurve, TimingParams
 from .errors import ConfigurationError
 from .linksim import DecoyIntensities, LinkParams
 
-
-# Most points a sweep may hold; decoy.sweep_loss takes floor(range/step + 1e-9) + 1.
-MAX_SWEEP_POINTS = 1_000_000
+# Most frames an MC run may draw, tens of minutes of sampling on a 2-core
+# machine; the sweep's cap is decoy.MAX_SWEEP_POINTS.
+MAX_MC_FRAMES = 10**11
 
 
 @dataclass(frozen=True)
@@ -30,19 +30,9 @@ class SweepSpec:
     loss_step_db: float = 1.0
 
     def __post_init__(self) -> None:
-        lo, hi, step = self.loss_min_db, self.loss_max_db, self.loss_step_db
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigurationError(
-                f"sweep range must be finite with min <= max, got {lo!r}..{hi!r}"
-            )
-        if not (math.isfinite(step) and step > 0.0):
-            raise ConfigurationError(f"loss step must be > 0, got {step!r}")
-        # Compared as floats: the point count can be too large for an int.
-        if (hi - lo) / step + 1e-9 >= MAX_SWEEP_POINTS:
-            raise ConfigurationError(
-                f"sweep {lo!r}..{hi!r} dB in steps of {step!r} dB has more than "
-                f"{MAX_SWEEP_POINTS} points"
-            )
+        lo, hi = self.loss_min_db, self.loss_max_db
+        if sweep_point_count(lo, hi, self.loss_step_db) == 0:
+            raise ConfigurationError(f"sweep range must have min <= max, got {lo!r}..{hi!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +43,10 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
+        if self.n_frames > MAX_MC_FRAMES:
+            raise ConfigurationError(
+                f"at most {MAX_MC_FRAMES} MC frames, got {self.n_frames!r}"
+            )
 
 
 @dataclass(frozen=True)

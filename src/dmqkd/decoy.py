@@ -187,6 +187,30 @@ class SweepPoint:
         return self.breakdown.e_mu
 
 
+# Most points a sweep may hold.
+MAX_SWEEP_POINTS = 1_000_000
+
+
+def sweep_point_count(loss_min: float, loss_max: float, step: float) -> int:
+    """Points of the inclusive sweep, floor((max - min) / step + 1e-9) + 1, or
+    0 when min > max. A non-finite bound or step, a step <= 0 or more than
+    MAX_SWEEP_POINTS points is a ConfigurationError."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigurationError(f"loss step must be > 0, got {step!r}")
+    if not (math.isfinite(loss_min) and math.isfinite(loss_max)):
+        raise ConfigurationError(f"sweep range must be finite, got {loss_min!r}..{loss_max!r}")
+    if loss_min > loss_max:
+        return 0
+    # Compared as a float: the point count can be too large for an int.
+    span = (loss_max - loss_min) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"sweep {loss_min!r}..{loss_max!r} dB in steps of {step!r} dB has more "
+            f"than {MAX_SWEEP_POINTS} points"
+        )
+    return int(math.floor(span)) + 1
+
+
 def sweep_loss(
     loss_min: float,
     loss_max: float,
@@ -195,13 +219,8 @@ def sweep_loss(
     intens: DecoyIntensities,
 ) -> list[SweepPoint]:
     """Evaluate the analytic rate over a loss range (inclusive of both ends)."""
-    if step <= 0.0:
-        raise ConfigurationError(f"sweep step must be > 0, got {step!r}")
-    if loss_min > loss_max:
-        return []
     points: list[SweepPoint] = []
-    n = int(math.floor((loss_max - loss_min) / step + 1e-9))
-    for i in range(n + 1):
+    for i in range(sweep_point_count(loss_min, loss_max, step)):
         loss = loss_min + i * step
         points.append(SweepPoint(loss, rate_at_loss(loss, params, intens)))
     return points

@@ -198,41 +198,6 @@ def expected_row_stats(
     return GainQber(p_det, min(e, 1.0))
 
 
-def _simulate_block(
-    n: int,
-    block_index: int,
-    seed: int,
-    probs: np.ndarray,
-    p_sig: np.ndarray,
-    y0: float,
-    e_det: float,
-    p_y_bob: float,
-) -> np.ndarray:
-    """Tally one block of frames; rng depends only on (seed, block_index)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    cum = np.cumsum(probs)
-    row = np.searchsorted(cum, rng.random(n), side="right")
-    row = np.minimum(row, len(probs) - 1)
-    bob_y = rng.random(n) < p_y_bob
-    alice_y = row == 0  # STATE_ROWS[0] is the only Y-basis row
-    sifted = alice_y == bob_y
-    row_s = row[sifted]
-    m = row_s.size
-    sig_click = rng.random(m) < p_sig[row_s]
-    dark_click = rng.random(m) < y0
-    detected = sig_click | dark_click
-    # Dark events (including coincidences with a signal click) are assigned a
-    # random bit; pure signal clicks err with probability e_det.
-    u_err = rng.random(int(detected.sum()))
-    err_p = np.where(dark_click[detected], 0.5, e_det)
-    errors = u_err < err_p
-    out = np.zeros((len(probs), 3), dtype=np.int64)
-    np.add.at(out[:, 0], row_s, 1)
-    np.add.at(out[:, 1], row_s[detected], 1)
-    np.add.at(out[:, 2], row_s[detected][errors], 1)
-    return out
-
-
 def simulate_frames_mc(
     n_frames: int,
     params: LinkParams,
@@ -244,33 +209,66 @@ def simulate_frames_mc(
 
     Frames are processed in blocks of DEFAULT_BLOCK_SIZE, each with a
     generator derived from (seed, block index), so every block's tally
-    depends only on the seed and its index.
+    depends only on the seed and its index. The draws of a block and their
+    order and sizes are fixed: the state uniforms, Bob's basis uniforms, one
+    signal-click and one dark-click uniform per sifted frame, then one error
+    uniform per detection.
     """
     if n_frames <= 0:
         raise ConfigurationError(f"n_frames must be > 0, got {n_frames!r}")
     if state_probs is None:
         state_probs = default_state_probs(params)
     probs = np.array([state_probs.get(row, 0.0) for row in STATE_ROWS], dtype=float)
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-9:
+    # Written so that a NaN fails both comparisons.
+    if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-9):
         raise ConfigurationError("state probabilities must be nonnegative and sum to 1")
     extra = set(state_probs) - set(STATE_ROWS)
     if extra:
         raise ConfigurationError(f"unknown state rows in probabilities: {sorted(extra)}")
 
-    y0 = params.y0
+    y0, e_det, p_y_bob = params.y0, params.e_det, params.p_y_bob
     p_sig = np.array(signal_click_probs(params, intens))
+    cum = np.cumsum(probs)
+    # Each draw is consumed by a compare before the next one refills the buffer.
+    buf = np.empty(DEFAULT_BLOCK_SIZE)
+    row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
+    sent = np.zeros(4, dtype=np.int64)
+    # Detections by row + 4 * error.
+    clicks = np.zeros(8, dtype=np.int64)
+    for b, start in enumerate(range(0, n_frames, DEFAULT_BLOCK_SIZE)):
+        n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        u = rng.random(out=buf[:n])
+        # The row index is the number of cum[:3] bounds at or below u, which
+        # is min(searchsorted(cum, u, "right"), 3) since cum is nondecreasing.
+        row = row_buf[:n]
+        np.greater_equal(u, cum[0], out=row)
+        row += u >= cum[1]
+        row += u >= cum[2]
+        # STATE_ROWS[0] is the only Y-basis row; Bob measures Y with p_y_bob.
+        sifted = (row == 0) == (rng.random(out=buf[:n]) < p_y_bob)
+        row_s = np.compress(sifted, row)  # faster than row[sifted] on int8
+        m = row_s.size
+        # Row 0 usually holds most sifted frames: compare all against its click
+        # probability, then redo the frames of the Z-basis rows.
+        z = np.flatnonzero(row_s)
+        u_sig = rng.random(out=buf[:m])
+        sig_click = u_sig < p_sig[0]
+        sig_click[z] = u_sig[z] < p_sig[row_s[z]]
+        dark_click = rng.random(out=buf[:m]) < y0
+        detected = sig_click | dark_click
+        # Dark events (including coincidences with a signal click) are assigned
+        # a random bit; pure signal clicks err with probability e_det.
+        err_p = np.where(dark_click[detected], 0.5, e_det)
+        errors = rng.random(out=buf[:np.count_nonzero(detected)]) < err_p
+        sent += np.bincount(row_s[z], minlength=4)
+        sent[0] += m - z.size
+        clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
 
-    total = sum(
-        _simulate_block(
-            min(DEFAULT_BLOCK_SIZE, n_frames - start), b, seed, probs, p_sig, y0,
-            params.e_det, params.p_y_bob,
-        )
-        for b, start in enumerate(range(0, n_frames, DEFAULT_BLOCK_SIZE))
-    )
     tallies = TallyCounts()
     for i, key in enumerate(STATE_ROWS):
         tallies.rows[key] = RowTally(
-            sent=int(total[i, 0]), detected=int(total[i, 1]), errors=int(total[i, 2])
+            sent=int(sent[i]), detected=int(clicks[i] + clicks[4 + i]), errors=int(clicks[4 + i])
         )
     return tallies
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -127,6 +128,38 @@ class TestMc:
         assert run("--out", str(tmp_path), "--frames", "20000", "--seed", "-1", "mc") == EXIT_USAGE
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "tallies.csv").exists()
+
+    def test_too_many_frames_is_usage_error(self, tmp_path, capsys):
+        argv = ("--out", str(tmp_path), "--frames", "100000000000000000000", "mc")
+        assert run(*argv) == EXIT_USAGE
+        assert "MC frames" in capsys.readouterr().err
+        assert not (tmp_path / "tallies.csv").exists()
+
+    def test_dead_channel_has_no_z_scores(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("det_efficiency = 0.0\ndark_rate_hz = 0.0\n")
+        assert run("--config", str(cfg), "--out", str(tmp_path), "--frames", "20000", "mc") == EXIT_OK
+        report = json.loads((tmp_path / "mc_report.json").read_text())
+        for row in report["rows"]:
+            assert row["sent"] > 0 and row["detected"] == 0
+            assert row["q_delta_sigma"] is None and row["e_delta_sigma"] is None
+
+    def test_z_scores_use_binomial_sigma(self, tmp_path):
+        assert run("--out", str(tmp_path), "--frames", "200000", "mc") == EXIT_OK
+        report = json.loads((tmp_path / "mc_report.json").read_text())
+        for row in report["rows"]:
+            q, e = row["q_analytic"], row["e_analytic"]
+            sigma_q = math.sqrt(q * (1.0 - q) / row["sent"])
+            assert row["q_delta_sigma"] == (row["q_empirical"] - q) / sigma_q
+            assert abs(row["q_delta_sigma"]) < 6.0
+            if row["detected"]:
+                sigma_e = math.sqrt(e * (1.0 - e) / row["detected"])
+                assert row["e_delta_sigma"] == (row["e_empirical"] - e) / sigma_e
+                assert abs(row["e_delta_sigma"]) < 6.0
+            else:
+                assert row["e_delta_sigma"] is None
+        # At 2e5 frames seed 0 sees no vacuum detection.
+        assert [row["detected"] == 0 for row in report["rows"]] == [False, False, False, True]
 
 
 class TestVerify:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmqkd.config import (
-    MAX_SWEEP_POINTS,
+    MAX_MC_FRAMES,
+    McSpec,
     RunConfig,
     SweepSpec,
     config_from_flat,
@@ -15,6 +16,7 @@ from dmqkd.config import (
     load_config,
     with_overrides,
 )
+from dmqkd.decoy import MAX_SWEEP_POINTS
 from dmqkd.encoding import TimingParams
 from dmqkd.errors import ConfigurationError
 
@@ -231,6 +233,14 @@ class TestOverrides:
                              (0.0, 1.7e308, 1e-300)):
             with pytest.raises(ConfigurationError, match="points"):
                 SweepSpec(lo, hi, step)
+
+    def test_frame_cap(self):
+        McSpec(n_frames=MAX_MC_FRAMES)
+        for n in (MAX_MC_FRAMES + 1, 10**20):
+            with pytest.raises(ConfigurationError, match="MC frames"):
+                McSpec(n_frames=n)
+        with pytest.raises(ConfigurationError, match="MC frames"):
+            with_overrides(RunConfig(), frames=10**20)
 
     def test_range_checked_after_all_overrides(self):
         cfg = with_overrides(RunConfig(), loss_min=70.0, loss_max=80.0)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from dmqkd.decoy import (
+    MAX_SWEEP_POINTS,
     SWEEP_CSV_HEADER,
     binary_entropy,
     bound_e1,
@@ -13,6 +14,7 @@ from dmqkd.decoy import (
     secure_key_rate,
     sweep_csv_lines,
     sweep_loss,
+    sweep_point_count,
 )
 from dmqkd.errors import ConfigurationError, DegenerateDecoyError, UndefinedBoundError
 from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams
@@ -117,6 +119,32 @@ class TestSweep:
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
             sweep_loss(0.0, 10.0, 0.0, LinkParams(), DecoyIntensities())
+
+    @pytest.mark.parametrize(
+        "lo,hi,step",
+        [
+            (0.0, 1e308, 1e-300),  # the count overflows a float
+            (0.0, 1e308, 1.0),
+            (0.0, float(MAX_SWEEP_POINTS), 1.0),
+            (-1e308, 1e308, 1.0),  # the span overflows
+        ],
+    )
+    def test_point_cap(self, lo, hi, step):
+        with pytest.raises(ConfigurationError, match="points"):
+            sweep_loss(lo, hi, step, LinkParams(), DecoyIntensities())
+
+    @pytest.mark.parametrize(
+        "lo,hi,step",
+        [(0.0, 10.0, -1.0), (0.0, 10.0, math.nan), (0.0, math.inf, 1.0), (math.nan, 10.0, 1.0)],
+    )
+    def test_non_finite_or_bad_step(self, lo, hi, step):
+        with pytest.raises(ConfigurationError):
+            sweep_loss(lo, hi, step, LinkParams(), DecoyIntensities())
+
+    def test_point_count(self):
+        assert sweep_point_count(0.0, float(MAX_SWEEP_POINTS - 1), 1.0) == MAX_SWEEP_POINTS
+        assert sweep_point_count(0.0, 60.0, 0.01) == 6001
+        assert sweep_point_count(20.0, 10.0, 1.0) == 0
 
     def test_cutoff(self):
         points = sweep_loss(0.0, 60.0, 1.0, LinkParams(), DecoyIntensities())

@@ -1,11 +1,15 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmqkd.decoy import analytic_class_gains
 from dmqkd.errors import ConfigurationError, ModelValidityError
 from dmqkd.linksim import (
+    DEFAULT_BLOCK_SIZE,
     STATE_ROWS,
     DecoyIntensities,
     GainQber,
@@ -150,6 +154,120 @@ class TestExpectedRowStats:
         assert (y.q - params.y0) / (z.q - params.y0) == pytest.approx(0.5, abs=1e-6)
 
 
+def _simulate_block(
+    n: int,
+    block_index: int,
+    seed: int,
+    probs: np.ndarray,
+    p_sig: np.ndarray,
+    y0: float,
+    e_det: float,
+    p_y_bob: float,
+) -> np.ndarray:
+    """Tally one block of frames; rng depends only on (seed, block_index)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
+    cum = np.cumsum(probs)
+    row = np.searchsorted(cum, rng.random(n), side="right")
+    row = np.minimum(row, len(probs) - 1)
+    bob_y = rng.random(n) < p_y_bob
+    alice_y = row == 0  # STATE_ROWS[0] is the only Y-basis row
+    sifted = alice_y == bob_y
+    row_s = row[sifted]
+    m = row_s.size
+    sig_click = rng.random(m) < p_sig[row_s]
+    dark_click = rng.random(m) < y0
+    detected = sig_click | dark_click
+    # Dark events (including coincidences with a signal click) are assigned a
+    # random bit; pure signal clicks err with probability e_det.
+    u_err = rng.random(int(detected.sum()))
+    err_p = np.where(dark_click[detected], 0.5, e_det)
+    errors = u_err < err_p
+    out = np.zeros((len(probs), 3), dtype=np.int64)
+    np.add.at(out[:, 0], row_s, 1)
+    np.add.at(out[:, 1], row_s[detected], 1)
+    np.add.at(out[:, 2], row_s[detected][errors], 1)
+    return out
+
+
+def _oracle_tallies(n_frames, params, intens, probs, seed):
+    """The sampler as one _simulate_block call per block, summed: the oracle
+    the block loop of simulate_frames_mc must match count for count."""
+    p = np.array([probs.get(row, 0.0) for row in STATE_ROWS])
+    p_sig = np.array(signal_click_probs(params, intens))
+    total = sum(
+        _simulate_block(
+            min(DEFAULT_BLOCK_SIZE, n_frames - start), b, seed, p, p_sig, params.y0,
+            params.e_det, params.p_y_bob,
+        )
+        for b, start in enumerate(range(0, n_frames, DEFAULT_BLOCK_SIZE))
+    )
+    return [tuple(int(c) for c in total[i]) for i in range(len(STATE_ROWS))]
+
+
+# y0 = 2 * dark_rate * window reaches its 0.1 limit exactly at this dark rate.
+_WINDOW = 1e-9
+_MAX_DARK_RATE = 5e7
+
+
+@st.composite
+def state_mixes(draw):
+    """Four row probabilities, some of them 0, summing to 1 or 1 +- 1e-10."""
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=4, max_size=4)
+        .filter(lambda w: sum(w) > 0.0)
+    )
+    scale = (1.0 + draw(st.sampled_from((0.0, -1e-10, 1e-10)))) / sum(weights)
+    return dict(zip(STATE_ROWS, (w * scale for w in weights)))
+
+
+def _bounded(lo, hi):
+    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+
+
+@st.composite
+def link_points(draw):
+    return LinkParams(
+        loss_db=draw(st.floats(0.0, 40.0)),
+        det_efficiency=draw(_bounded(0.0, 1.0)),
+        dark_rate=draw(_bounded(0.0, _MAX_DARK_RATE)),
+        window=_WINDOW,
+        p_y_bob=draw(_bounded(0.0, 1.0)),
+        e_det=draw(_bounded(0.0, 1.0)),
+    )
+
+
+# From one frame to three whole blocks plus an odd remainder.
+frame_counts = st.builds(
+    lambda blocks, half: blocks * DEFAULT_BLOCK_SIZE + 2 * half + 1,
+    st.integers(0, 3),
+    st.integers(0, DEFAULT_BLOCK_SIZE // 2 - 1),
+)
+
+
+class TestSamplerMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_frames=frame_counts,
+        params=link_points(),
+        probs=state_mixes(),
+        seed=st.integers(0, 2**32),
+    )
+    @example(
+        n_frames=3 * DEFAULT_BLOCK_SIZE + 12345,
+        params=LinkParams(),
+        probs=default_state_probs(LinkParams()),
+        seed=300,
+    )
+    def test_tallies_equal_the_block_oracle(self, n_frames, params, probs, seed):
+        intens = DecoyIntensities()
+        tallies = simulate_frames_mc(n_frames, params, intens, probs, seed=seed)
+        got = [(t.sent, t.detected, t.errors) for t in tallies.rows.values()]
+        assert got == _oracle_tallies(n_frames, params, intens, probs, seed)
+
+    def test_dark_rate_bound_is_the_linearization_limit(self):
+        assert LinkParams(dark_rate=_MAX_DARK_RATE, window=_WINDOW).y0 == 0.1
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         params, intens = LinkParams(), DecoyIntensities()
@@ -216,6 +334,16 @@ class TestMonteCarlo:
                 100, params, intens,
                 state_probs={("signal", "Y"): 0.5, ("bright", "Z"): 0.5},
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        params, intens = LinkParams(), DecoyIntensities()
+        with pytest.raises(ConfigurationError, match="state probabilities"):
+            simulate_frames_mc(10**5, params, intens, {row: bad for row in STATE_ROWS})
+        probs = dict(default_state_probs(params))
+        probs[("vacuum", "Z")] = bad
+        with pytest.raises(ConfigurationError, match="state probabilities"):
+            simulate_frames_mc(10**5, params, intens, probs)
 
 
 def test_with_loss_changes_only_loss():
