@@ -9,59 +9,4 @@ Subpackages:
   config/cli run configuration and the command-line interface
 """
 
-from .photonics import (
-    Phase,
-    PolarForm,
-    PulseFrame,
-    OutputFrame,
-    amplitude_to_polar,
-    amzi_transform,
-    make_frame,
-    relative_phase_el,
-)
-from .encoding import (
-    CalibrationCurve,
-    EncodingSymbol,
-    PhasePair,
-    TimingParams,
-    WaveformSchedule,
-    compile_schedule,
-    decompile_schedule,
-    encode_symbol,
-    intensity_to_phase,
-)
-from .linksim import DecoyIntensities, GainQber, LinkParams, simulate_frames_mc
-from .decoy import RateBreakdown, rate_at_loss, secure_key_rate, sweep_loss
-from .config import RunConfig
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Phase",
-    "PolarForm",
-    "PulseFrame",
-    "OutputFrame",
-    "amplitude_to_polar",
-    "amzi_transform",
-    "make_frame",
-    "relative_phase_el",
-    "CalibrationCurve",
-    "EncodingSymbol",
-    "PhasePair",
-    "TimingParams",
-    "WaveformSchedule",
-    "compile_schedule",
-    "decompile_schedule",
-    "encode_symbol",
-    "intensity_to_phase",
-    "DecoyIntensities",
-    "GainQber",
-    "LinkParams",
-    "simulate_frames_mc",
-    "RateBreakdown",
-    "rate_at_loss",
-    "secure_key_rate",
-    "sweep_loss",
-    "RunConfig",
-    "__version__",
-]

@@ -7,6 +7,11 @@ Subcommands:
   verify          run the security property suite
   write-defaults  emit the default configuration
 
+The flags --seed, --frames and --loss-min/--loss-max/--loss-step set the config
+keys mc_seed, mc_frames and sweep_min_db/sweep_max_db/sweep_step_db over the
+--config file. Every command checks the whole configuration at load, so a frame
+count outside [10000, 10^11] is a usage error for every command, not only mc.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 property failure,
 3 model-validity error.
 """
@@ -19,8 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import decoy, linksim, secprops
-from .config import RunConfig, config_to_text, load_config, with_overrides
+from . import config, decoy, linksim, secprops
+from .config import RunConfig
 from .encoding import (
     compile_schedule,
     encode_symbol,
@@ -42,15 +47,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+# Flags that set a config key: flag -> (key, help). Each takes the type of
+# its key's default and overrides the value from --config.
+_FLAG_KEYS = {
+    "--seed": ("mc_seed", "override the run seed"),
+    "--loss-min": ("sweep_min_db", "sweep start (dB)"),
+    "--loss-max": ("sweep_max_db", "sweep end (dB)"),
+    "--loss-step": ("sweep_step_db", "sweep step (dB)"),
+    "--frames": ("mc_frames", "Monte Carlo frame count"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="dmqkd", description=__doc__.split("\n")[0])
     parser.add_argument("--config", type=Path, help="configuration file (.txt or .json)")
-    parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--loss-min", type=float, help="sweep start (dB)")
-    parser.add_argument("--loss-max", type=float, help="sweep end (dB)")
-    parser.add_argument("--loss-step", type=float, help="sweep step (dB)")
-    parser.add_argument("--frames", type=int, help="Monte Carlo frame count")
+    defaults = config.config_to_flat(RunConfig())
+    for flag, (key, text) in _FLAG_KEYS.items():
+        parser.add_argument(
+            flag, dest=key, type=type(defaults[key]), help=f"{text}; config key {key}"
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enc = sub.add_parser("encode", help="compile a symbol stream to a schedule")
@@ -66,23 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return with_overrides(
-        cfg,
-        seed=args.seed,
-        frames=args.frames,
-        loss_min=args.loss_min,
-        loss_max=args.loss_max,
-        loss_step=args.loss_step,
-    )
+    """The --config file (or the defaults) with the given flags merged over it;
+    the merged values are checked together, as one file would be."""
+    cfg = config.load_config(args.config) if args.config else RunConfig()
+    flags = {key: getattr(args, key) for key, _ in _FLAG_KEYS.values()}
+    given = {key: value for key, value in flags.items() if value is not None}
+    return config.config_from_flat({**config.config_to_flat(cfg), **given}) if given else cfg
 
 
 def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
-    try:
-        text = args.stream.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"cannot read symbol stream {args.stream}: {exc}") from exc
-    symbols = parse_symbol_stream(text)
+    symbols = parse_symbol_stream(config.read_user_file(args.stream, "symbol stream"))
     if not symbols:
         raise ConfigurationError(f"symbol stream {args.stream} is empty")
     table = cfg.decoy_table()
@@ -127,10 +136,6 @@ def _z_score(empirical: float, expected: float, trials: int) -> float | None:
 
 
 def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.mc.n_frames < 10_000:
-        raise ConfigurationError(
-            f"mc needs at least 10000 frames, got {cfg.mc.n_frames}"
-        )
     probs = linksim.default_state_probs(cfg.link, cfg.z_mix)
     tallies = linksim.simulate_frames_mc(
         cfg.mc.n_frames, cfg.link, cfg.intensities, probs, seed=cfg.mc.seed
@@ -198,7 +203,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_write_defaults(cfg: RunConfig, args: argparse.Namespace) -> int:
-    text = config_to_text(RunConfig())
+    text = config.config_to_text(RunConfig())
     if args.path is not None:
         args.path.write_text(text)
         print(f"wrote {args.path}")

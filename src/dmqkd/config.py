@@ -18,8 +18,9 @@ from .encoding import CalibrationCurve, TimingParams
 from .errors import ConfigurationError
 from .linksim import DecoyIntensities, LinkParams
 
-# Most frames an MC run may draw, tens of minutes of sampling on a 2-core
-# machine; the sweep's cap is decoy.MAX_SWEEP_POINTS.
+# Fewest and most frames an MC run may draw; the cap is tens of minutes of
+# sampling on a 2-core machine. The sweep's cap is decoy.MAX_SWEEP_POINTS.
+MIN_MC_FRAMES = 10_000
 MAX_MC_FRAMES = 10**11
 
 
@@ -43,9 +44,9 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
-        if self.n_frames > MAX_MC_FRAMES:
+        if not MIN_MC_FRAMES <= self.n_frames <= MAX_MC_FRAMES:
             raise ConfigurationError(
-                f"at most {MAX_MC_FRAMES} MC frames, got {self.n_frames!r}"
+                f"need {MIN_MC_FRAMES}..{MAX_MC_FRAMES} MC frames, got {self.n_frames!r}"
             )
 
 
@@ -187,13 +188,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def read_user_file(path: Path, what: str) -> str:
+    """The UTF-8 text of a user's file; an unreadable one is a
+    ConfigurationError naming `what` and the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Load a configuration from a .json file or the key-value text format."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    text = read_user_file(path, "config")
     if path.suffix == ".json":
         try:
             flat = json.loads(text, object_pairs_hook=_unique_keys)
@@ -203,26 +210,3 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigurationError(f"config {path} must hold a JSON object")
         return config_from_flat(flat)
     return config_from_text(text)
-
-
-def with_overrides(
-    cfg: RunConfig,
-    *,
-    seed: int | None = None,
-    frames: int | None = None,
-    loss_min: float | None = None,
-    loss_max: float | None = None,
-    loss_step: float | None = None,
-) -> RunConfig:
-    """Apply CLI flag overrides on top of a loaded configuration.
-
-    Each spec is replaced in one step, so its checks see the final values
-    (e.g. --loss-min 70 --loss-max 80 is valid although 70 > the default max).
-    """
-    mc = {"seed": seed, "n_frames": frames}
-    sweep = {"loss_min_db": loss_min, "loss_max_db": loss_max, "loss_step_db": loss_step}
-    return replace(
-        cfg,
-        mc=replace(cfg.mc, **{k: v for k, v in mc.items() if v is not None}),
-        sweep=replace(cfg.sweep, **{k: v for k, v in sweep.items() if v is not None}),
-    )

@@ -29,10 +29,6 @@ class RateBreakdown:
 
     q_mu: float
     e_mu: float
-    q_nu: float
-    e_nu: float
-    q_omega: float
-    e_omega: float
     y0_l: float
     y1_l: float
     e1_u: float
@@ -140,10 +136,6 @@ def secure_key_rate(
     return RateBreakdown(
         q_mu=mu_gain.q,
         e_mu=mu_gain.e,
-        q_nu=nu_gain.q,
-        e_nu=nu_gain.e,
-        q_omega=omega_gain.q,
-        e_omega=omega_gain.e,
         y0_l=y0_l,
         y1_l=y1_l,
         e1_u=e1_u,

@@ -104,11 +104,6 @@ class DecoyIntensities:
                 "need nu + omega < mu for the single-photon yield bound"
             )
 
-    def of_class(self, intensity_class: str) -> float:
-        return {"signal": self.mu, "decoy": self.nu, "vacuum": self.omega}[
-            intensity_class
-        ]
-
 
 @dataclass(frozen=True)
 class GainQber:
@@ -214,6 +209,8 @@ def simulate_frames_mc(
     signal-click and one dark-click uniform per sifted frame, then one error
     uniform per detection.
     """
+    if isinstance(n_frames, bool) or not isinstance(n_frames, (int, np.integer)):
+        raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
     if n_frames <= 0:
         raise ConfigurationError(f"n_frames must be > 0, got {n_frames!r}")
     if state_probs is None:

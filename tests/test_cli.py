@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from dmqkd.cli import EXIT_MODEL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
-from dmqkd.config import RunConfig, config_to_text
+from dmqkd.cli import EXIT_MODEL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _build_parser, _load, main
+from dmqkd.config import RunConfig, config_from_flat, config_to_text
 
 
 def run(*argv):
@@ -43,8 +43,9 @@ class TestEncode:
         stream.write_text("Z0s Y0d\n")
         assert run("--out", str(tmp_path), "encode", str(stream)) == EXIT_USAGE
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         assert run("--out", str(tmp_path), "encode", str(tmp_path / "no.txt")) == EXIT_USAGE
+        assert f"cannot read symbol stream {tmp_path / 'no.txt'}" in capsys.readouterr().err
 
     def test_non_utf8_stream_is_usage_error(self, tmp_path, capsys):
         stream = tmp_path / "stream.txt"
@@ -124,6 +125,16 @@ class TestMc:
     def test_too_few_frames(self, tmp_path):
         assert run("--out", str(tmp_path), "--frames", "100", "mc") == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["sweep", "verify", "write-defaults"])
+    @pytest.mark.parametrize("frames", ["9999", "0", "-5"])
+    def test_too_few_frames_fail_every_command(self, tmp_path, capsys, command, frames):
+        assert run("--out", str(tmp_path), "--frames", frames, command) == EXIT_USAGE
+        assert "MC frames" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"mc_frames = {frames}\n")
+        assert run("--config", str(cfg), "--out", str(tmp_path), command) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         assert run("--out", str(tmp_path), "--frames", "20000", "--seed", "-1", "mc") == EXIT_USAGE
         assert "seed must be >= 0" in capsys.readouterr().err
@@ -189,6 +200,42 @@ class TestWriteDefaults:
         assert run("write-defaults", str(path)) == EXIT_OK
         assert run("--config", str(path), "--out", str(tmp_path),
                    "--loss-min", "15", "--loss-max", "15", "sweep") == EXIT_OK
+
+
+def load(*argv):
+    """The RunConfig that main builds for argv."""
+    return _load(_build_parser().parse_args([*argv, "sweep"]))
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "flag,key,value,other",
+        [
+            ("--seed", "mc_seed", 42, 7),
+            ("--frames", "mc_frames", 123456, 20000),
+            ("--loss-min", "sweep_min_db", 5.5, 1.0),
+            ("--loss-max", "sweep_max_db", 70.0, 30.0),
+            ("--loss-step", "sweep_step_db", 0.25, 2.0),
+        ],
+    )
+    def test_flag_is_its_config_key(self, tmp_path, flag, key, value, other):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value!r}\n")
+        from_flag = load(flag, str(value))
+        assert from_flag == load("--config", str(cfg)) == config_from_flat({key: value})
+        assert from_flag != RunConfig()
+        # The flag overrides the file's value and keeps its other keys.
+        other_cfg = tmp_path / "other.json"
+        other_cfg.write_text(json.dumps({key: other, "loss_db": 20.0}))
+        assert load("--config", str(other_cfg), flag, str(value)) == config_from_flat(
+            {key: value, "loss_db": 20.0}
+        )
+
+    def test_no_flags_means_the_file(self, tmp_path):
+        assert load() == RunConfig()
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("loss_db = 20.0\nmc_seed = 3\n")
+        assert load("--config", str(cfg)) == config_from_flat({"loss_db": 20.0, "mc_seed": 3})
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dmqkd.config import (
     MAX_MC_FRAMES,
+    MIN_MC_FRAMES,
     McSpec,
     RunConfig,
     SweepSpec,
@@ -14,7 +15,6 @@ from dmqkd.config import (
     config_to_flat,
     config_to_text,
     load_config,
-    with_overrides,
 )
 from dmqkd.decoy import MAX_SWEEP_POINTS
 from dmqkd.encoding import TimingParams
@@ -180,7 +180,7 @@ def valid_flats(draw):
         "sweep_min_db": sweep_min,
         "sweep_max_db": sweep_min + draw(st.floats(0.0, 50.0)),
         "sweep_step_db": draw(st.floats(1e-3, 10.0)),
-        "mc_frames": draw(st.integers(1, 10**9)),
+        "mc_frames": draw(st.integers(MIN_MC_FRAMES, 10**9)),
         "mc_seed": draw(st.integers(0, 2**63)),
     }
 
@@ -197,34 +197,39 @@ class TestRoundTripProperty:
         assert load_config(path) == cfg
 
 
+def with_flat(cfg, **flat):
+    """cfg with the given config keys merged over it, as the CLI merges flags."""
+    return config_from_flat({**config_to_flat(cfg), **flat})
+
+
 class TestOverrides:
     def test_seed_and_frames(self):
-        cfg = with_overrides(RunConfig(), seed=42, frames=123456)
+        cfg = with_flat(RunConfig(), mc_seed=42, mc_frames=123456)
         assert cfg.mc.seed == 42
         assert cfg.mc.n_frames == 123456
 
     def test_sweep_range(self):
-        cfg = with_overrides(RunConfig(), loss_min=5.0, loss_max=25.0, loss_step=0.5)
+        cfg = with_flat(RunConfig(), sweep_min_db=5.0, sweep_max_db=25.0, sweep_step_db=0.5)
         assert (cfg.sweep.loss_min_db, cfg.sweep.loss_max_db, cfg.sweep.loss_step_db) == (
             5.0, 25.0, 0.5,
         )
 
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
-            with_overrides(RunConfig(), loss_step=0.0)
+            with_flat(RunConfig(), sweep_step_db=0.0)
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"seed": -1},
-            {"loss_min": 70.0, "loss_max": 10.0},
-            {"loss_min": 61.0},
-            {"loss_max": float("inf")},
+            {"mc_seed": -1},
+            {"sweep_min_db": 70.0, "sweep_max_db": 10.0},
+            {"sweep_min_db": 61.0},
+            {"sweep_max_db": float("inf")},
         ],
     )
     def test_invalid_overrides_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
-            with_overrides(RunConfig(), **overrides)
+            with_flat(RunConfig(), **overrides)
 
     def test_sweep_point_cap(self):
         # 0..999,999 dB in 1 dB steps is exactly MAX_SWEEP_POINTS points.
@@ -235,16 +240,17 @@ class TestOverrides:
                 SweepSpec(lo, hi, step)
 
     def test_frame_cap(self):
+        McSpec(n_frames=MIN_MC_FRAMES)
         McSpec(n_frames=MAX_MC_FRAMES)
-        for n in (MAX_MC_FRAMES + 1, 10**20):
+        for n in (MIN_MC_FRAMES - 1, 0, -5, MAX_MC_FRAMES + 1, 10**20):
             with pytest.raises(ConfigurationError, match="MC frames"):
                 McSpec(n_frames=n)
         with pytest.raises(ConfigurationError, match="MC frames"):
-            with_overrides(RunConfig(), frames=10**20)
+            with_flat(RunConfig(), mc_frames=10**20)
 
     def test_range_checked_after_all_overrides(self):
-        cfg = with_overrides(RunConfig(), loss_min=70.0, loss_max=80.0)
+        cfg = with_flat(RunConfig(), sweep_min_db=70.0, sweep_max_db=80.0)
         assert (cfg.sweep.loss_min_db, cfg.sweep.loss_max_db) == (70.0, 80.0)
 
     def test_none_leaves_defaults(self):
-        assert with_overrides(RunConfig()) == RunConfig()
+        assert with_flat(RunConfig()) == RunConfig()

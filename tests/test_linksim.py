@@ -112,12 +112,6 @@ class TestParamValidation:
         with pytest.raises(ConfigurationError):
             GainQber(1.5, 0.0)
 
-    def test_of_class(self):
-        i = DecoyIntensities()
-        assert (i.of_class("signal"), i.of_class("decoy"), i.of_class("vacuum")) == (
-            0.4, 0.16, 0.015,
-        )
-
 
 class TestStateProbs:
     def test_defaults_sum_to_one(self):
@@ -333,6 +327,18 @@ class TestMonteCarlo:
             simulate_frames_mc(
                 100, params, intens,
                 state_probs={("signal", "Y"): 0.5, ("bright", "Z"): 0.5},
+            )
+
+    @pytest.mark.parametrize("n_frames", [1e5, 100.0, True, False, "100"])
+    def test_non_integer_frame_count_rejected(self, n_frames):
+        with pytest.raises(ConfigurationError, match="n_frames must be an integer"):
+            simulate_frames_mc(n_frames, LinkParams(), DecoyIntensities())
+
+    def test_numpy_integer_frame_count_accepted(self):
+        params, intens = LinkParams(), DecoyIntensities()
+        for n in (np.int64(1000), np.int32(1000), np.uint16(1000)):
+            assert simulate_frames_mc(n, params, intens, seed=3) == simulate_frames_mc(
+                1000, params, intens, seed=3
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
