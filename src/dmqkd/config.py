@@ -42,6 +42,10 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_frames", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         if not MIN_MC_FRAMES <= self.n_frames <= MAX_MC_FRAMES:

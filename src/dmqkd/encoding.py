@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, DmqkdError, InvalidSymbolError, ScheduleParseError
 from .photonics import Phase
@@ -23,11 +26,14 @@ DECOY = "decoy"
 VACUUM = "vacuum"
 INTENSITY_CLASSES = (SIGNAL, DECOY, VACUUM)
 
-# Channels of the electrical schedule.
+# Channels of the electrical schedule. Their codes 0, 1, 2 follow the
+# alphabetical order of the names, so sorting by (start, code) is sorting by
+# (start, channel).
 CH_MASTER = "master_drive"
 CH_PERT = "master_perturbation"
 CH_SLAVE = "slave_drive"
 _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
+_CODES = {ch: code for code, ch in enumerate(_CHANNELS)}
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
@@ -145,21 +151,68 @@ class ScheduleEvent:
     level: float
 
 
+class EventColumns(Sequence[ScheduleEvent]):
+    """A schedule's events as parallel columns, read as ScheduleEvent rows (built
+    on first read and kept). code indexes names, which begins with the three
+    channels in code order; start, duration and level are float64."""
+
+    def __init__(self, names, code, start, duration, level, rows=None):
+        self.names, self.code, self.start, self.duration, self.level = (
+            names, code, start, duration, level)
+        self._rows, self._text_parts = rows, None
+
+    @property
+    def rows(self) -> tuple[ScheduleEvent, ...]:
+        if self._rows is None:
+            self._rows = tuple(map(ScheduleEvent, map(self.names.__getitem__, self.code.tolist()),
+                                   self.start.tolist(), self.duration.tolist(), self.level.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __add__(self, other: Sequence[ScheduleEvent]) -> tuple[ScheduleEvent, ...]:
+        return self.rows + tuple(other)
+
+    def __eq__(self, other: object) -> bool:
+        return self.rows == (other.rows if isinstance(other, EventColumns) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+
 @dataclass(frozen=True)
 class WaveformSchedule:
     """A time-sorted list of events realizing a symbol stream.
 
     Times are absolute offsets in seconds from the first master onset, stored
-    at double precision. Events are kept in canonical (start, channel) order,
-    sorted once here, so every reader and writer can rely on it.
+    at double precision. Events are kept in canonical (start, channel) order:
+    rows given here are sorted as Python sorts them, columns only if an O(n)
+    check finds them out of order. Either way they read back as EventColumns.
     """
 
     timing: TimingParams
-    events: tuple[ScheduleEvent, ...] = field(default_factory=tuple)
+    events: Sequence[ScheduleEvent] = ()
 
     def __post_init__(self) -> None:
-        events = sorted(self.events, key=lambda ev: (ev.start, ev.channel))
-        object.__setattr__(self, "events", tuple(events))
+        ev = self.events
+        if not isinstance(ev, EventColumns):
+            rows = tuple(ScheduleEvent(e.channel, float(e.start), float(e.duration), float(e.level))
+                         for e in sorted(ev, key=lambda e: (e.start, e.channel)))
+            names = tuple(dict.fromkeys(_CHANNELS + tuple(e.channel for e in rows)))
+            index = {ch: code for code, ch in enumerate(names)}
+            cols = np.array([(index[e.channel], e.start, e.duration, e.level) for e in rows])
+            cols = cols.reshape(-1, 4).T
+            ev = EventColumns(names, cols[0].astype(np.intp), *cols[1:], rows=rows)
+        else:
+            ds, dc = np.diff(ev.start), np.diff(ev.code)
+            if not ((ds > 0) | ((ds == 0) & (dc >= 0))).all():
+                o = np.lexsort((ev.code, ev.start))
+                ev = EventColumns(ev.names, ev.code[o], ev.start[o], ev.duration[o], ev.level[o])
+        object.__setattr__(self, "events", ev)
 
 
 def intensity_to_phase(fraction: float) -> Phase:
@@ -257,27 +310,24 @@ def compile_schedule(
     """
     if not symbols:
         raise ConfigurationError("symbol stream is empty")
-    events: list[ScheduleEvent] = []
-    delay = timing.amzi_delay
-    pert_offset = (delay - timing.perturbation_width) / 2.0
-    for i, sym in enumerate(symbols):
-        pair = encode_symbol(sym, decoy_table)
-        t0 = i * timing.symbol_period
-        events.append(ScheduleEvent(CH_MASTER, t0, timing.master_on_time, DRIVE_LEVEL_V))
-        for k in range(3):
-            events.append(
-                ScheduleEvent(CH_SLAVE, t0 + k * delay, timing.slave_on_time, DRIVE_LEVEL_V)
-            )
-        for k, phi in enumerate((pair.phi12, pair.phi23)):
-            events.append(
-                ScheduleEvent(
-                    CH_PERT,
-                    t0 + k * delay + pert_offset,
-                    timing.perturbation_width,
-                    voltage_for_phase(phi, cal),
-                )
-            )
-    return WaveformSchedule(timing=timing, events=tuple(events))
+    n = len(symbols)
+    kinds = {sym: k for k, sym in enumerate(dict.fromkeys(symbols))}  # distinct symbols
+    volts = np.array([[voltage_for_phase(phi, cal) for phi in (pair.phi12, pair.phi23)]
+                      for pair in (encode_symbol(sym, decoy_table) for sym in kinds)])
+    # A symbol's six events, in their canonical order unless rounding says
+    # otherwise: master, slave 0, perturbation 0, slave 1, perturbation 1,
+    # slave 2. Each start is (t0 + k*delay) + offset, the float an
+    # event-by-event loop computes.
+    delay, pert, on = timing.amzi_delay, timing.perturbation_width, timing.slave_on_time
+    offset = (delay - pert) / 2.0
+    t0 = np.arange(n) * timing.symbol_period
+    start = t0[:, None] + np.array([0, 0, 0, 1, 1, 2]) * delay + [0, 0, offset, 0, offset, 0]
+    level = np.full((n, 6), DRIVE_LEVEL_V)
+    level[:, [2, 4]] = volts[np.fromiter(map(kinds.__getitem__, symbols), np.intp, n)]
+    code = [_CODES[ch] for ch in (CH_MASTER, CH_SLAVE, CH_PERT, CH_SLAVE, CH_PERT, CH_SLAVE)]
+    return WaveformSchedule(timing, EventColumns(
+        _CHANNELS, np.tile(np.array(code, dtype=np.int8), n), start.ravel(),
+        np.tile([timing.master_on_time, on, pert, on, pert, on], n), level.ravel()))
 
 
 def _event_problem(ev: ScheduleEvent) -> str | None:
@@ -304,34 +354,15 @@ def _check_window(master: ScheduleEvent, n_perts: int, n_slaves: int) -> None:
             )
 
 
-def decompile_schedule(
-    sched: WaveformSchedule, timing: TimingParams, cal: CalibrationCurve
-) -> list[PhasePair]:
-    """Recover the per-symbol phase pairs from a schedule.
-
-    Accepts schedules produced by compile_schedule or hand-written with the
-    same conventions: every master window [start, start + duration] holds
-    exactly two perturbations and three slave-drive pulses, and no
-    perturbation or slave pulse lies outside every master window. Non-finite
-    fields, non-positive durations, unknown channels, malformed event counts
-    and overlaps raise ScheduleParseError, as does a timing that differs from
-    the one the schedule carries.
-
-    One pass over the canonical (start, channel) order: a master opens a
-    window, and every other event must end inside the window of the latest
-    master. A master sorts before the other channels at the same start, and
-    masters do not overlap, so no earlier window can hold the event.
-    """
-    if timing != sched.timing:
-        raise ScheduleParseError(
-            f"schedule was compiled for {sched.timing}, not {timing}"
-        )
+def _levels_by_scan(events: Sequence[ScheduleEvent]) -> list[float]:
+    """The perturbation levels in order, from one pass over the events that
+    raises at the first one to break a rule of decompile_schedule."""
     levels: list[float] = []  # perturbation levels, two per checked window
     earliest_start: dict[str, float] = {}  # per channel: last event's end, less slack
     master: ScheduleEvent | None = None
     window_end = -math.inf  # the latest master's end, plus slack
     n_perts = n_slaves = 0
-    for ev in sched.events:
+    for ev in events:
         problem = _event_problem(ev)
         if problem is not None:
             raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
@@ -358,13 +389,84 @@ def decompile_schedule(
     if master is None:
         raise ScheduleParseError("schedule has no master drive events")
     _check_window(master, n_perts, n_slaves)
-    return [
-        PhasePair(phase_for_voltage(v12, cal), phase_for_voltage(v23, cal))
-        for v12, v23 in zip(levels[::2], levels[1::2])
-    ]
+    return levels
+
+
+def _levels_by_columns(ev: EventColumns) -> np.ndarray | None:
+    """What _levels_by_scan returns, from array checks, or None if any check
+    fails or is in doubt (an unknown channel, an end that overflows)."""
+    code, start = ev.code, ev.start
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = start + ev.duration  # finite only where start and duration are
+        slack = np.maximum(1e-15, 4 * np.spacing(np.abs(end)))  # _time_slack(end)
+    window = np.cumsum(code == 0) - 1  # the latest master at or before each event
+    if len(ev.names) > len(_CHANNELS) or not len(ev) or window[0] < 0 or not (
+            np.isfinite(end) & np.isfinite(ev.level) & (ev.duration > 0.0)).all():
+        return None
+    on = [code == c for c in range(3)]
+    counts = np.bincount(window * 3 + code, minlength=3 * (window[-1] + 1)).reshape(-1, 3)
+    ok = ((counts == (1, 2, 3)).all()  # a master, two perturbations, three slaves
+          and (end <= (end + slack)[on[0]][window]).all()
+          and all((start[c][1:] >= (end - slack)[c][:-1]).all() for c in on))
+    return ev.level[on[1]] if ok else None
+
+
+def decompile_schedule(
+    sched: WaveformSchedule, timing: TimingParams, cal: CalibrationCurve
+) -> list[PhasePair]:
+    """Recover the per-symbol phase pairs from a schedule.
+
+    Accepts schedules produced by compile_schedule or hand-written with the
+    same conventions: every master window [start, start + duration] holds
+    exactly two perturbations and three slave-drive pulses, and no
+    perturbation or slave pulse lies outside every master window. Non-finite
+    fields, non-positive durations, unknown channels, malformed event counts
+    and overlaps raise ScheduleParseError, as does a timing that differs from
+    the one the schedule carries.
+
+    In canonical (start, channel) order a master opens a window, and every
+    other event must end inside the window of the latest master: a master
+    sorts first at equal starts, and masters do not overlap, so no earlier
+    window can hold the event. The columns are checked with array operations;
+    a schedule that fails is scanned event by event to name the first bad one.
+    """
+    if timing != sched.timing:
+        raise ScheduleParseError(
+            f"schedule was compiled for {sched.timing}, not {timing}"
+        )
+    levels = _levels_by_columns(sched.events)
+    if levels is None:
+        levels = np.array(_levels_by_scan(sched.events.rows))
+    keys = levels.view(np.complex128).tolist()  # one (v12, v23) pair per symbol
+    pairs = {k: PhasePair(phase_for_voltage(k.real, cal), phase_for_voltage(k.imag, cal))
+             for k in set(keys)}
+    return list(map(pairs.__getitem__, keys))
 
 
 # --- serialization -----------------------------------------------------------
+
+def _row_pieces(ev: EventColumns, head, tail, starts: list[str] | None = None) -> list[str]:
+    """head(channel), start and tail(channel, duration, level) for every event,
+    to be joined. head and tail are made once per distinct (channel, duration,
+    level), told apart by their bits so that -0.0 is not 0.0. That grouping
+    and the reprs of the starts are made once per schedule, for both writers."""
+    if ev._text_parts is None:
+        cols = (ev.level.view(np.int64), ev.duration.view(np.int64), ev.code)
+        order = np.lexsort(cols)
+        new = np.zeros(len(order), dtype=bool)  # where a group begins, in sorted order
+        new[:1] = True
+        for col in cols:
+            new[1:] |= col[order][1:] != col[order][:-1]
+        key = np.empty(len(order), dtype=np.intp)
+        key[order] = np.cumsum(new) - 1
+        ev._text_parts = (list(map(repr, ev.start.tolist())), order[new], key.tolist())
+    reprs, first, key = ev._text_parts
+    names = [ev.names[c] for c in ev.code[first].tolist()]
+    heads = list(map(head, names))
+    tails = list(map(tail, names, ev.duration[first].tolist(), ev.level[first].tolist()))
+    return list(chain.from_iterable(
+        zip(map(heads.__getitem__, key), starts or reprs, map(tails.__getitem__, key))))
+
 
 def schedule_to_text(sched: WaveformSchedule) -> str:
     """Line-oriented text form: a one-line timing header, then one event per line.
@@ -375,19 +477,58 @@ def schedule_to_text(sched: WaveformSchedule) -> str:
     header = "# timing " + " ".join(
         f"{name}={getattr(sched.timing, name)!r}" for name in _TIMING_FIELDS
     )
-    lines = [header]
-    for ev in sched.events:
-        lines.append(f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}")
-    return "\n".join(lines) + "\n"
+    return "".join([header, "\n", *_row_pieces(
+        sched.events, lambda ch: ch + " ", lambda ch, d, lv: f" {d!r} {lv!r}\n")])
+
+
+def _raise_first_bad_line(lines: list[str], first: int) -> None:
+    """Parse lines[first:] one at a time and raise at the first bad one, giving
+    its number counted from 1."""
+    for lineno, parts in enumerate(map(str.split, lines[first:]), start=first + 1):
+        if parts and len(parts) != 4:
+            raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            problem = parts and _event_problem(ScheduleEvent(parts[0], *map(float, parts[1:])))
+        except ValueError as exc:
+            raise ScheduleParseError(f"line {lineno}: bad number") from exc
+        if problem:
+            raise ScheduleParseError(f"line {lineno}: {problem}")
+
+
+def _columns(lines: list[str]) -> tuple[np.ndarray, ...]:
+    """Code, start, duration and level of event lines, converted column by
+    column; KeyError or ValueError if any line is bad."""
+    flat = " ".join(lines).split()
+    n = len(flat) // 4
+    values = {tok: float(tok) for tok in {*flat[2::4], *flat[3::4]}}  # a handful
+    code, start, duration, level = (
+        np.fromiter(map(_CODES.__getitem__, flat[::4]), np.int8, n),
+        np.fromiter(map(float, flat[1::4]), float, n),
+        *(np.fromiter(map(values.__getitem__, flat[k::4]), float, n) for k in (2, 3)))
+    # Only the n tokens flat[::4] name channels, as no name parses as a float.
+    # If n lines begin with a name and the rest are blank, each of those n
+    # tokens begins a line, so every line holds four tokens.
+    heads = list(map(str.lstrip, lines))
+    named = sum(map(str.startswith, heads, repeat(_CHANNELS)))
+    if len(flat) != 4 * n or not n == named == len(lines) - heads.count("") or not (
+            np.isfinite(start) & np.isfinite(duration) & np.isfinite(level) & (duration > 0.0)).all():
+        raise ValueError("bad event line")
+    return code, start, duration, level
 
 
 def schedule_from_text(text: str) -> WaveformSchedule:
-    """Parse the text form produced by schedule_to_text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# timing "):
+    """Parse the text form produced by schedule_to_text.
+
+    Blank lines are skipped, and the first other line is the timing header.
+    The event lines are converted column by column; if that fails they are
+    read again one by one, to name the first bad line.
+    """
+    lines = text.splitlines()
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    if first == len(lines) or not lines[first].startswith("# timing "):
         raise ScheduleParseError("missing timing header line")
     kv: dict[str, float] = {}
-    for tok in lines[0][len("# timing "):].split():
+    for tok in lines[first][len("# timing "):].split():
         try:
             name, value = tok.split("=", 1)
             number = float(value)
@@ -401,26 +542,13 @@ def schedule_from_text(text: str) -> WaveformSchedule:
         timing = TimingParams(**{name: kv[name] for name in _TIMING_FIELDS})
     except (KeyError, ConfigurationError) as exc:
         raise ScheduleParseError(f"invalid timing header: {exc}") from exc
-    events = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            start, duration, level = (float(x) for x in parts[1:])
-        except ValueError as exc:
-            raise ScheduleParseError(f"line {lineno}: bad number") from exc
-        ev = ScheduleEvent(parts[0], start, duration, level)
-        problem = _event_problem(ev)
-        if problem is not None:
-            raise ScheduleParseError(f"line {lineno}: {problem}")
-        events.append(ev)
-    return WaveformSchedule(timing=timing, events=tuple(events))
-
-
-def _json_number(x: float) -> str:
-    """A number as json.dumps writes it: repr, or NaN/Infinity/-Infinity."""
-    return repr(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+    body = lines[first + 1:]
+    try:  # in blocks of lines, to bound the memory the split tokens take
+        blocks = [_columns(body[i:i + 4096]) for i in range(0, max(len(body), 1), 4096)]
+    except (KeyError, ValueError):
+        _raise_first_bad_line(lines, first + 1)
+    cols = (np.concatenate(col) for col in zip(*blocks))
+    return WaveformSchedule(timing, EventColumns(_CHANNELS, *cols))
 
 
 def schedule_to_json(sched: WaveformSchedule) -> str:
@@ -432,25 +560,18 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
     written from a fixed template, because json.dumps falls back to its
     pure-Python encoder whenever indent is set.
     """
-    head = json.dumps(
-        {
-            "timing": {name: getattr(sched.timing, name) for name in _TIMING_FIELDS},
-            "events": [],
-        },
-        indent=2,
-    )
-    if not sched.events:
+    head = json.dumps({"timing": asdict(sched.timing), "events": []}, indent=2)
+    ev = sched.events
+    if not len(ev):
         return head + "\n"
-    names = {ch: json.dumps(ch) for ch in {ev.channel for ev in sched.events}}
-    items = [
-        f'{{\n      "channel": {names[ev.channel]},'
-        f'\n      "start_s": {_json_number(ev.start)},'
-        f'\n      "duration_s": {_json_number(ev.duration)},'
-        f'\n      "level_v": {_json_number(ev.level)}\n    }}'
-        for ev in sched.events
-    ]
+    items = _row_pieces(
+        ev, lambda ch: f'{{\n      "channel": {json.dumps(ch)},\n      "start_s": ',
+        lambda ch, d, lv: f',\n      "duration_s": {json.dumps(d)},'
+                          f'\n      "level_v": {json.dumps(lv)}\n    }},\n    ',
+        None if np.isfinite(ev.start).all() else list(map(json.dumps, ev.start.tolist())))
+    items[-1] = items[-1][:-6]  # the last item gives up its separator ',\n    '
     # head ends with the empty list and the closing brace: '[]\n}'.
-    return head[:-4] + "[\n    " + ",\n    ".join(items) + "\n  ]\n}\n"
+    return "".join([head[:-4], "[\n    ", *items, "\n  ]\n}\n"])
 
 
 # --- symbol-stream mini-language --------------------------------------------
@@ -467,15 +588,18 @@ def parse_symbol_token(token: str) -> EncodingSymbol:
 
 
 def parse_symbol_stream(text: str) -> list[EncodingSymbol]:
-    """Parse a whitespace-separated symbol stream, reporting line numbers."""
+    """Parse a whitespace-separated symbol stream, reporting line numbers.
+    Each distinct token is parsed once, and its symbol shared."""
     symbols: list[EncodingSymbol] = []
+    memo: dict[str, EncodingSymbol] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for token in body.split():
-            try:
-                symbols.append(parse_symbol_token(token))
-            except InvalidSymbolError as exc:
-                raise InvalidSymbolError(f"line {lineno}: {exc}") from exc
+        for token in line.split("#", 1)[0].split():
+            if token not in memo:
+                try:
+                    memo[token] = parse_symbol_token(token)
+                except InvalidSymbolError as exc:
+                    raise InvalidSymbolError(f"line {lineno}: {exc}") from exc
+            symbols.append(memo[token])
     return symbols
 
 

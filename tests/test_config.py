@@ -248,6 +248,14 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match="MC frames"):
             with_flat(RunConfig(), mc_frames=10**20)
 
+    @pytest.mark.parametrize(
+        "kw", [{"n_frames": 20000.5}, {"n_frames": 20000.0}, {"n_frames": True},
+               {"seed": 1.5}, {"seed": True}, {"seed": "1"}],
+    )
+    def test_non_integer_frames_and_seed_rejected(self, kw):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            McSpec(**kw)
+
     def test_range_checked_after_all_overrides(self):
         cfg = with_flat(RunConfig(), sweep_min_db=70.0, sweep_max_db=80.0)
         assert (cfg.sweep.loss_min_db, cfg.sweep.loss_max_db) == (70.0, 80.0)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 from dataclasses import asdict, replace
 
 import pytest
@@ -37,6 +39,8 @@ TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
 TOKENS = ("Z0s", "Z1s", "Y0s", "Y1s", "Z0d", "Z1d", "Z0v", "Z1v")
 _LONG_STREAM = [parse_symbol_token(TOKENS[i % len(TOKENS)]) for i in range(256)]
 _SLOW_DELAY = 1 / 3  # the AMZI delay (s) of a 1 Hz master clock
+_SLOW_TIMING = TimingParams(master_rate=1.0, perturbation_width=_SLOW_DELAY / 3,
+                            slave_on_time=_SLOW_DELAY / 2, master_on_time=2.5 * _SLOW_DELAY)
 
 
 def streams(max_size):
@@ -218,6 +222,11 @@ class TestScheduleCompile:
         with pytest.raises(ConfigurationError):
             compile_schedule([], TimingParams(), CalibrationCurve(), TABLE)
 
+    def test_len_builds_no_rows(self):
+        sched = compile_schedule(_LONG_STREAM, TimingParams(), CalibrationCurve(), TABLE)
+        assert len(sched.events) == 6 * len(_LONG_STREAM)
+        assert sched.events._rows is None
+
     def test_decompile_recovers_phases(self):
         stream = [EncodingSymbol("Z", 1), EncodingSymbol("Y", 0), EncodingSymbol("Z", 1, "vacuum")]
         t, cal = TimingParams(), CalibrationCurve()
@@ -334,6 +343,42 @@ class TestScheduleSerialization:
         with pytest.raises(ScheduleParseError):
             schedule_from_text("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            (_HEADER + "\n\n\nmaster_drive 0.0 1.4e-09 1.0\n\nslave_drive 0.0 3e-10\n", 6),
+            ("\n \n" + _HEADER + "\nslave_drive 0.0 3e-10 x\n", 4),
+            (_HEADER + "\r\n\r\nmystery 0.0 3e-10 1.0\r\n", 3),
+            # Eight tokens that pair up into two events, over lines of five and three.
+            (_HEADER + "\nmaster_drive 0.0 1.4e-09 1.0 slave_drive\n0.0 3e-10 1.0\n", 2),
+        ],
+        ids=["blank-lines-in-body", "blank-lines-before-header", "crlf", "fields-shifted"],
+    )
+    def test_errors_name_the_physical_line(self, text, lineno):
+        with pytest.raises(ScheduleParseError, match=f"^line {lineno}:"):
+            schedule_from_text(text)
+
+    # SHA-256 of the text and JSON forms of a seeded 4,096-symbol stream. Any
+    # change to event times, order or number formatting moves these.
+    @pytest.mark.parametrize(
+        "timing,text_digest,json_digest",
+        [
+            (TimingParams(),
+             "21edcf4c7e62810a26e329aa947bd6420dc8150a5a8ace5b6a0db8a90853fa24",
+             "d7bca40de084319ba10f6f92442e382fa12ccb144d018937b55fe2dd26be42f9"),
+            (_SLOW_TIMING,
+             "98aef96628245e82af587ee75d0d265ccbf86230673b2fe81c935bb2f592f050",
+             "81d8f159bd649c570bbbe9dd35962ea2c2b5590ff2095f7f8348d30fcc3381e6"),
+        ],
+        ids=["default", "1Hz"],
+    )
+    def test_golden_schedule_bytes(self, timing, text_digest, json_digest):
+        rng = random.Random(4096)
+        stream = [parse_symbol_token(rng.choice(TOKENS)) for _ in range(4096)]
+        sched = compile_schedule(stream, timing, CalibrationCurve(), TABLE)
+        assert hashlib.sha256(schedule_to_text(sched).encode()).hexdigest() == text_digest
+        assert hashlib.sha256(schedule_to_json(sched).encode()).hexdigest() == json_digest
+
 
 class TestSymbolStream:
     def test_token_round_trip(self):
@@ -373,6 +418,30 @@ def _json_by_dumps(sched):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _text_by_rows(sched):
+    """The text form written one event at a time."""
+    header = "# timing " + " ".join(f"{k}={v!r}" for k, v in asdict(sched.timing).items())
+    lines = [f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}" for ev in sched.events]
+    return "\n".join([header] + lines) + "\n"
+
+
+def _compile_by_loop(stream, timing, cal):
+    """Reference compiler: the six events of each symbol built one at a time."""
+    events = []
+    delay = timing.amzi_delay
+    pert_offset = (delay - timing.perturbation_width) / 2.0
+    for i, sym in enumerate(stream):
+        pair = encode_symbol(sym, TABLE)
+        t0 = i * timing.symbol_period
+        events.append(ScheduleEvent(CH_MASTER, t0, timing.master_on_time, 1.0))
+        for k in range(3):
+            events.append(ScheduleEvent(CH_SLAVE, t0 + k * delay, timing.slave_on_time, 1.0))
+        for k, phi in enumerate((pair.phi12, pair.phi23)):
+            events.append(ScheduleEvent(CH_PERT, t0 + k * delay + pert_offset,
+                                        timing.perturbation_width, voltage_for_phase(phi, cal)))
+    return WaveformSchedule(timing=timing, events=tuple(events))
 
 
 def _slack(t):
@@ -476,6 +545,105 @@ class TestDecompileAgainstScan:
             assert decompile_schedule(sched, t, cal) == want
 
 
+def _parse_by_lines(text):
+    """Reference text parser: one line at a time, numbering physical lines."""
+    lines = text.splitlines()
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None or not lines[first].startswith("# timing "):
+        raise ScheduleParseError("missing timing header line")
+    kv = {}
+    for tok in lines[first][len("# timing "):].split():
+        try:
+            name, value = tok.split("=", 1)
+            number = float(value)
+        except ValueError as exc:
+            raise ScheduleParseError(f"bad timing token {tok!r}") from exc
+        if name not in asdict(TimingParams()) or name in kv:
+            what = "duplicate" if name in kv else "unknown"
+            raise ScheduleParseError(f"{what} timing field {name!r}")
+        kv[name] = number
+    try:
+        timing = TimingParams(**{name: kv[name] for name in asdict(TimingParams())})
+    except (KeyError, ConfigurationError) as exc:
+        raise ScheduleParseError(f"invalid timing header: {exc}") from exc
+    events = []
+    for lineno, ln in enumerate(lines[first + 1:], start=first + 2):
+        parts = ln.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            start, duration, level = (float(x) for x in parts[1:])
+        except ValueError as exc:
+            raise ScheduleParseError(f"line {lineno}: bad number") from exc
+        if parts[0] not in (CH_MASTER, CH_PERT, CH_SLAVE):
+            raise ScheduleParseError(f"line {lineno}: unknown channel {parts[0]!r}")
+        if not all(math.isfinite(x) for x in (start, duration, level)):
+            raise ScheduleParseError(
+                f"line {lineno}: start, duration and level must be finite, "
+                f"got {start!r} {duration!r} {level!r}"
+            )
+        if duration <= 0.0:
+            raise ScheduleParseError(f"line {lineno}: duration must be > 0, got {duration!r}")
+        events.append(ScheduleEvent(parts[0], start, duration, level))
+    return WaveformSchedule(timing=timing, events=tuple(events))
+
+
+def _edit_text(lines, data):
+    """Apply one random edit to the lines of a schedule text, in place."""
+    kind = data.draw(st.sampled_from(
+        ("drop-field", "add-field", "bad-number", "non-finite", "channel", "blank", "tabs",
+         "leading-space", "duplicate")
+    ))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    parts = lines[i].split(" ")
+    if kind == "drop-field":
+        del parts[data.draw(st.integers(0, len(parts) - 1))]
+    elif kind == "add-field":
+        parts.insert(data.draw(st.integers(0, len(parts))),
+                     data.draw(st.sampled_from(("1.0", "-2e-10", CH_SLAVE, "x"))))
+    elif kind in ("bad-number", "non-finite"):
+        bad = ("1..0", "0x1p3", "", "1e", "--1") if kind == "bad-number" else (
+            "nan", "inf", "-inf", "Infinity", "NaN")
+        parts[data.draw(st.integers(1, 3)) % len(parts)] = data.draw(st.sampled_from(bad))
+    elif kind == "channel":
+        parts[0] = data.draw(st.sampled_from(("mystery", "Master_drive", "#", CH_PERT)))
+    elif kind == "blank":
+        lines.insert(i, data.draw(st.sampled_from(("", " ", "\t", "  \t "))))
+        return
+    elif kind == "tabs":
+        lines[i] = lines[i].replace(" ", "\t")
+        return
+    elif kind == "leading-space":
+        lines[i] = data.draw(st.sampled_from((" ", "\t", "   "))) + lines[i]
+        return
+    else:
+        lines.insert(i, lines[i])
+        return
+    lines[i] = " ".join(parts)
+
+
+class TestParseAgainstLines:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_schedule_or_same_error(self, data):
+        lines = schedule_to_text(_compiled(data.draw(streams(4)))).splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            _edit_text(lines, data)
+        text = data.draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+        try:
+            want = _parse_by_lines(text)
+        except ScheduleParseError as exc:
+            with pytest.raises(ScheduleParseError) as got:
+                schedule_from_text(text)
+            assert str(got.value) == str(exc)
+        else:
+            got = schedule_from_text(text)
+            assert got == want
+            assert schedule_to_text(got) == schedule_to_text(want)
+
+
 class TestScheduleProperties:
     @settings(max_examples=50, deadline=None)
     @given(timing=timings(), stream=streams(200))
@@ -486,11 +654,7 @@ class TestScheduleProperties:
     @example(timing=TimingParams(master_on_time=1.3e-9), stream=_LONG_STREAM)
     # At 1 Hz the rounding of event times outgrows any fixed slack: with a
     # 1 fs slack the slave pulse at t = 16.67 s fell outside its window.
-    @example(
-        timing=TimingParams(master_rate=1.0, perturbation_width=_SLOW_DELAY / 3,
-                            slave_on_time=_SLOW_DELAY / 2, master_on_time=2.5 * _SLOW_DELAY),
-        stream=_LONG_STREAM,
-    )
+    @example(timing=_SLOW_TIMING, stream=_LONG_STREAM)
     def test_compile_text_parse_decompile_round_trip(self, timing, stream):
         cal = CalibrationCurve()
         text = schedule_to_text(compile_schedule(stream, timing, cal, TABLE))
@@ -504,10 +668,28 @@ class TestScheduleProperties:
                 gap = (float(a) - float(b)) % (2.0 * math.pi)
                 assert min(gap, 2.0 * math.pi - gap) <= 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(timing=timings(), stream=streams(200))
+    @example(timing=_SLOW_TIMING, stream=_LONG_STREAM)
+    def test_compile_and_text_match_the_loops(self, timing, stream):
+        cal = CalibrationCurve()
+        sched = compile_schedule(stream, timing, cal, TABLE)
+        want = _compile_by_loop(stream, timing, cal)
+        assert sched == want
+        assert schedule_to_text(sched) == _text_by_rows(want)
+
     @settings(max_examples=25, deadline=None)
     @given(stream=streams(200))
     def test_json_is_byte_identical_to_json_dumps(self, stream):
         sched = _compiled(stream)
+        assert schedule_to_json(sched) == _json_by_dumps(sched)
+
+    def test_signed_zero_levels_keep_their_sign(self):
+        events = tuple(ScheduleEvent(CH_PERT, k * 1e-9, 150e-12, level)
+                       for k, level in enumerate((0.0, -0.0, 0.0, -0.0)))
+        sched = WaveformSchedule(timing=TimingParams(), events=events)
+        assert [ln.split()[3] for ln in schedule_to_text(sched).splitlines()[1:]] == [
+            "0.0", "-0.0", "0.0", "-0.0"]
         assert schedule_to_json(sched) == _json_by_dumps(sched)
 
     def test_json_without_events(self):
@@ -523,6 +705,7 @@ class TestScheduleProperties:
         )
         sched = WaveformSchedule(timing=TimingParams(), events=events)
         assert schedule_to_json(sched) == _json_by_dumps(sched)
+        assert schedule_to_text(sched) == _text_by_rows(sched)
 
 
 class TestScheduleValidation:
