@@ -99,10 +99,11 @@ def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "schedule.txt").write_text(schedule_to_text(sched))
     (args.out / "schedule.json").write_text(schedule_to_json(sched))
-    print("symbol phi12_rad phi23_rad")
-    for sym in symbols:
+    lines = {}  # one table line per distinct symbol
+    for sym in dict.fromkeys(symbols):
         pair = encode_symbol(sym, table)
-        print(f"{symbol_token(sym)} {float(pair.phi12)!r} {float(pair.phi23)!r}")
+        lines[sym] = f"{symbol_token(sym)} {float(pair.phi12)!r} {float(pair.phi23)!r}"
+    print("symbol phi12_rad phi23_rad", *map(lines.__getitem__, symbols), sep="\n")
     print(f"wrote {args.out / 'schedule.txt'} and schedule.json ({len(symbols)} symbols)")
     return EXIT_OK
 

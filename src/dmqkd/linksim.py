@@ -18,7 +18,7 @@ error parameter e_det.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +34,11 @@ STATE_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+
+
+def _check_loss_db(loss_db: float) -> None:
+    if not (math.isfinite(loss_db) and loss_db >= 0.0):
+        raise ConfigurationError(f"loss_db must be >= 0, got {loss_db!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,7 @@ class LinkParams:
     y_receiver_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.loss_db) and self.loss_db >= 0.0):
-            raise ConfigurationError(f"loss_db must be >= 0, got {self.loss_db!r}")
+        _check_loss_db(self.loss_db)
         for name in ("det_efficiency", "p_y_alice", "p_y_bob", "e_det",
                      "y_receiver_factor"):
             v = getattr(self, name)
@@ -271,5 +275,8 @@ def simulate_frames_mc(
 
 
 def with_loss(params: LinkParams, loss_db: float) -> LinkParams:
-    """Copy of params at a different channel loss."""
-    return replace(params, loss_db=loss_db)
+    """Copy of params at another channel loss; only the new loss is checked."""
+    _check_loss_db(loss_db)
+    at = object.__new__(type(params))
+    at.__dict__.update(params.__dict__, loss_db=loss_db)
+    return at

@@ -37,6 +37,7 @@ N_UNIFORM = 100_000
 P_THRESHOLD = 0.01
 MI_THRESHOLD = 0.01
 MI_BINS = 32
+_EXACT_BLOCK = 250  # draws per block of the exact check; 1,000 raised peak RSS
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,19 @@ def run_verification(seed: int = 0) -> dict:
     properties: list[dict] = []
     pairs = [encode_symbol(sym, _SIGNAL_TABLE) for sym in BB84_SYMBOLS]
 
-    # Exact R-bin (and R_P-bin) indistinguishability across the four encodings.
+    # Exact R-bin (and R_P-bin) indistinguishability across the four encodings,
+    # in blocks of draws: r_bin_amplitude's complex products in CPython's float
+    # order (0.5 * z is (0.5+0j) * z), so each spread is bit-identical to it.
+    phi12 = np.array([[float(pp.phi12)] for pp in pairs])
+    phi23 = np.array([[float(pp.phi23)] for pp in pairs])
     max_dev = 0.0
-    for _ in range(N_EXACT):
-        phi1 = rng.uniform(0.0, TWO_PI)
-        phi_rf = rng.uniform(0.0, TWO_PI)
-        amps = [r_bin_amplitude(pp, phi1, phi_rf, 1.0) for pp in pairs]
-        spread = max(abs(z - amps[0]) for z in amps[1:])
-        max_dev = max(max_dev, spread)
+    for start in range(0, N_EXACT, _EXACT_BLOCK):
+        phi1, phi_rf = rng.uniform(0.0, TWO_PI, size=(min(_EXACT_BLOCK, N_EXACT - start), 2)).T
+        e, f = np.exp(1j * (phi1 + phi12 + phi23)), np.exp(1j * phi_rf)
+        ar, ai = 0.5 * e.real - 0.0 * e.imag, 0.5 * e.imag + 0.0 * e.real
+        br, bi = 1.0 + f.real, 0.0 + f.imag
+        re, im = ar * br - ai * bi, ar * bi + ai * br
+        max_dev = max(max_dev, float(np.hypot(re[1:] - re[0], im[1:] - im[0]).max()))
     properties.append(
         {
             "name": "r_bin_amplitude_encoding_invariance",

@@ -1,10 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
 from dmqkd.cli import EXIT_MODEL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _build_parser, _load, main
 from dmqkd.config import RunConfig, config_from_flat, config_to_text
+from dmqkd.encoding import encode_symbol, parse_symbol_stream, symbol_token
 
 
 def run(*argv):
@@ -46,6 +48,20 @@ class TestEncode:
     def test_missing_file(self, tmp_path, capsys):
         assert run("--out", str(tmp_path), "encode", str(tmp_path / "no.txt")) == EXIT_USAGE
         assert f"cannot read symbol stream {tmp_path / 'no.txt'}" in capsys.readouterr().err
+
+    def test_table_matches_a_per_symbol_loop(self, tmp_path, capsys):
+        tokens = ["Z0s", "Z1s", "Z0d", "Z1d", "Z0v", "Z1v", "Y0s", "Y1s"]
+        rng = random.Random(4)
+        stream = tmp_path / "stream.txt"
+        stream.write_text(" ".join(rng.choice(tokens) for _ in range(4096)) + "\n")
+        assert run("--out", str(tmp_path), "encode", str(stream)) == EXIT_OK
+        table = RunConfig().decoy_table()
+        expected = ["symbol phi12_rad phi23_rad"]
+        for sym in parse_symbol_stream(stream.read_text()):
+            pair = encode_symbol(sym, table)
+            expected.append(f"{symbol_token(sym)} {float(pair.phi12)!r} {float(pair.phi23)!r}")
+        expected.append(f"wrote {tmp_path / 'schedule.txt'} and schedule.json (4096 symbols)")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_non_utf8_stream_is_usage_error(self, tmp_path, capsys):
         stream = tmp_path / "stream.txt"

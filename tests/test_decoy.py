@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dmqkd.decoy import (
     MAX_SWEEP_POINTS,
@@ -17,7 +20,7 @@ from dmqkd.decoy import (
     sweep_point_count,
 )
 from dmqkd.errors import ConfigurationError, DegenerateDecoyError, UndefinedBoundError
-from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams
+from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams, with_loss
 
 
 class TestBinaryEntropy:
@@ -188,3 +191,55 @@ def test_bounds_sound_on_a_simple_honest_channel():
     assert y0_l <= y0 + 1e-15
     assert 0.0 < y1_l <= y1_true + 1e-15
     assert bound_e1(eq_nu, eq_om, nu, omega, y1_l) >= e1_true - 1e-15
+
+
+def test_sweep_rejects_a_negative_loss():
+    with pytest.raises(ConfigurationError, match=r"loss_db must be >= 0, got -1\.0"):
+        sweep_loss(-1.0, 1.0, 0.5, LinkParams(), DecoyIntensities())
+
+
+def test_golden_sweep_csv():
+    """SHA-256 of the default 0-60 dB sweep at 0.01 dB as `dmqkd sweep` writes it."""
+    points = sweep_loss(0.0, 60.0, 0.01, LinkParams(), DecoyIntensities())
+    csv = "\n".join(sweep_csv_lines(points)) + "\n"
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "261d5dc97fe6878164fe0aace5dc8575865aaf4e84dcb87bb02247b3b6daa6be"
+    )
+
+
+unit_floats = st.floats(0.0, 1.0)
+# Honest links: dark probability 2 * dark_rate * window <= 0.08, e_det <= 0.5.
+honest_links = st.builds(
+    LinkParams,
+    det_efficiency=unit_floats,
+    dark_rate=st.floats(0.0, 1e5),
+    window=st.floats(0.0, 4e-7),
+    p_y_alice=unit_floats,
+    p_y_bob=unit_floats,
+    e_det=st.floats(0.0, 0.5),
+    f_ec=st.floats(1.0, 2.0),
+    y_receiver_factor=unit_floats,
+)
+
+
+@st.composite
+def decoy_intensities(draw):
+    mu = draw(st.floats(0.01, 1.0))
+    nu = mu * draw(st.floats(0.01, 0.66))
+    omega = nu * draw(st.floats(0.0, 0.5))
+    assume(mu > nu > omega and nu + omega < mu)
+    return DecoyIntensities(mu, nu, omega)
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_links, decoy_intensities(), st.floats(0.0, 80.0))
+def test_bounds_sound_over_random_honest_links(params, intens, loss_db):
+    """The rate's decoy bounds never cross the true vacuum and single-photon
+    yields Y0 = y0, Y1 = Y0 + eta, nor the true e1 = (Y0/2 + e_det*eta)/Y1."""
+    b = rate_at_loss(loss_db, params, intens)
+    y0, eta = params.y0, with_loss(params, loss_db).eta
+    y1 = y0 + eta
+    assert b.y0_l <= y0 + 1e-12
+    assert b.y1_l <= y1 + 1e-12
+    if b.y1_l > 0.0:
+        assert b.e1_u >= (0.5 * y0 + params.e_det * eta) / y1 - 1e-12

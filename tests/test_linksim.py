@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -356,3 +357,38 @@ def test_with_loss_changes_only_loss():
     p = with_loss(LinkParams(), 30.0)
     assert p.loss_db == 30.0
     assert p.det_efficiency == 0.7
+
+
+unit_floats = st.floats(0.0, 1.0)
+link_params = st.builds(
+    LinkParams,
+    loss_db=st.floats(0.0, 1e300),
+    det_efficiency=unit_floats,
+    dark_rate=st.floats(0.0, 1e9),
+    window=st.floats(0.0, 1e-6),
+    clock=st.floats(1e-3, 1e12),
+    p_y_alice=unit_floats,
+    p_y_bob=unit_floats,
+    e_det=unit_floats,
+    f_ec=st.floats(1.0, 10.0),
+    y_receiver_factor=unit_floats,
+)
+
+
+class TestWithLoss:
+    """with_loss checks only the new loss; the copy equals dataclasses.replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(link_params, st.floats(0.0, 1e300) | st.integers(0, 10**6))
+    def test_equals_replace(self, params, loss_db):
+        at = with_loss(params, loss_db)
+        assert at == dataclasses.replace(params, loss_db=loss_db)
+        assert repr(at) == repr(dataclasses.replace(params, loss_db=loss_db))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_what_the_constructor_rejects(self, bad):
+        with pytest.raises(ConfigurationError) as built:
+            LinkParams(loss_db=bad)
+        with pytest.raises(ConfigurationError) as copied:
+            with_loss(LinkParams(), bad)
+        assert str(copied.value) == str(built.value)

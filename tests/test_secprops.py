@@ -1,13 +1,19 @@
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmqkd.encoding import EncodingSymbol, PhasePair, encode_symbol
 from dmqkd.errors import SampleSizeError
 from dmqkd.photonics import TWO_PI, Phase
 from dmqkd.secprops import (
     BB84_SYMBOLS,
+    N_EXACT,
     axial_uniformity_p,
     circular_uniformity_stat,
     leakage_phases,
@@ -136,3 +142,53 @@ class TestRunVerification:
         import json
 
         json.dumps(run_verification(seed=1))
+
+
+def _exact_by_loop(seed: int) -> tuple[float, dict]:
+    """The exact R-bin check as one scalar r_bin_amplitude loop per draw: the
+    largest spread over N_EXACT draws, and the generator state after them."""
+    rng = np.random.default_rng(seed)
+    pairs = [encode_symbol(sym, SIGNAL_TABLE) for sym in BB84_SYMBOLS]
+    max_dev = 0.0
+    for _ in range(N_EXACT):
+        phi1 = rng.uniform(0.0, TWO_PI)
+        phi_rf = rng.uniform(0.0, TWO_PI)
+        amps = [r_bin_amplitude(pp, phi1, phi_rf, 1.0) for pp in pairs]
+        spread = max(abs(z - amps[0]) for z in amps[1:])
+        max_dev = max(max_dev, spread)
+    return max_dev, rng.bit_generator.state
+
+
+@functools.cache
+def _report(seed: int) -> dict:
+    return run_verification(seed=seed)
+
+
+class TestExactCheckOracle:
+    """run_verification's exact check against the scalar loop: the same
+    maximum spread, bit for bit, and the same draws in the same order."""
+
+    def test_matches_the_loop_at_seeds_0_to_39(self):
+        for seed in range(40):
+            max_dev, state = _exact_by_loop(seed)
+            assert _report(seed)["properties"][0]["max_deviation"] == max_dev
+            rng = np.random.default_rng(seed)
+            rng.uniform(0.0, TWO_PI, size=2 * N_EXACT)
+            assert rng.bit_generator.state == state
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_matches_the_loop_at_random_seeds(self, seed):
+        exact = run_verification(seed=seed)["properties"][0]
+        assert exact["max_deviation"] == _exact_by_loop(seed)[0]
+        assert exact["passed"] is True
+
+    # SHA-256 over the JSON reports of seeds 0..39, one line each: any change
+    # to a draw, its order or a property's arithmetic moves it.
+    def test_golden_security_reports(self):
+        digest = hashlib.sha256()
+        for seed in range(40):
+            digest.update(json.dumps(_report(seed), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "936478a31ee4b44ba297c8c7168f1c47b96bbe6855934c7d9d5f2781d4a4f440"
+        )
