@@ -13,7 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ConfigurationError, DegenerateDecoyError, UndefinedBoundError
+from .errors import (
+    ConfigurationError,
+    DegenerateDecoyError,
+    ModelValidityError,
+    UndefinedBoundError,
+)
 from .linksim import (
     DecoyIntensities,
     GainQber,
@@ -150,12 +155,16 @@ def analytic_class_gains(
 ) -> tuple[GainQber, GainQber, GainQber]:
     """Analytic (mu, nu, omega) gains/QBERs at the params' operating point:
     Q = Y0 + the Z row's signal-click probability (GLLP), with errors e_det on
-    signal clicks and random on dark counts; a dead channel gets E = 0.5."""
+    signal clicks and random on dark counts; a dead channel gets E = 0.5.
+    The linearized Q exceeds 1 when a bright pulse meets dark counts, which
+    raises ModelValidityError."""
     y0, e_det = params.y0, params.e_det
     _, mu, nu, omega = signal_click_probs(params, intens)  # STATE_ROWS order
     gains = []
     for sig in (mu, nu, omega):
         q = y0 + sig  # >= 0, and 0 only on a dead channel
+        if q > 1.0:
+            raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
         gains.append(GainQber(q, min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5))
     return tuple(gains)
 

@@ -39,14 +39,6 @@ _CODES = {ch: code for code, ch in enumerate(_CHANNELS)}
 DRIVE_LEVEL_V = 1.0
 
 
-# Slack (s) for comparing an event time with the time t: a compiled event may
-# overrun its neighbour's start or its master window's end t by float rounding,
-# e.g. when the three slave pulses fill the master gate exactly. Rounding grows
-# with t, so the slack is four ulps of t and at least 1 fs (also for t = inf).
-def _time_slack(t: float) -> float:
-    return max(1e-15, 4 * math.ulp(t)) if t < math.inf else 1e-15
-
-
 @dataclass(frozen=True)
 class EncodingSymbol:
     """A logical symbol: basis Z or Y, bit 0/1, and an intensity class.
@@ -173,9 +165,6 @@ class EventColumns(Sequence[ScheduleEvent]):
 
     def __getitem__(self, i):
         return self.rows[i]
-
-    def __add__(self, other: Sequence[ScheduleEvent]) -> tuple[ScheduleEvent, ...]:
-        return self.rows + tuple(other)
 
     def __eq__(self, other: object) -> bool:
         return self.rows == (other.rows if isinstance(other, EventColumns) else other)
@@ -344,71 +333,53 @@ def _event_problem(ev: ScheduleEvent) -> str | None:
     return None
 
 
-def _check_window(master: ScheduleEvent, n_perts: int, n_slaves: int) -> None:
-    """Raise unless a master window holds two perturbations and three slave pulses."""
-    for want, found, what in ((2, n_perts, "perturbation"), (3, n_slaves, "slave-drive")):
-        if found != want:
-            raise ScheduleParseError(
-                f"expected {want} {what} events in master window at t={master.start}, "
-                f"found {found}"
-            )
-
-
-def _levels_by_scan(events: Sequence[ScheduleEvent]) -> list[float]:
-    """The perturbation levels in order, from one pass over the events that
-    raises at the first one to break a rule of decompile_schedule."""
-    levels: list[float] = []  # perturbation levels, two per checked window
-    earliest_start: dict[str, float] = {}  # per channel: last event's end, less slack
-    master: ScheduleEvent | None = None
-    window_end = -math.inf  # the latest master's end, plus slack
-    n_perts = n_slaves = 0
-    for ev in events:
-        problem = _event_problem(ev)
-        if problem is not None:
-            raise ScheduleParseError(f"event at t={ev.start!r}: {problem}")
-        end = ev.start + ev.duration
-        if ev.start < earliest_start.get(ev.channel, -math.inf):
-            raise ScheduleParseError(
-                f"overlapping events on channel {ev.channel} at t={ev.start}"
-            )
-        earliest_start[ev.channel] = end - _time_slack(end)
-        if ev.channel == CH_MASTER:
-            if master is not None:
-                _check_window(master, n_perts, n_slaves)
-            master, n_perts, n_slaves = ev, 0, 0
-            window_end = end + _time_slack(end)
-        elif end > window_end:
-            raise ScheduleParseError(
-                f"{ev.channel} event at t={ev.start!r} lies outside every master window"
-            )
-        elif ev.channel == CH_PERT:
-            levels.append(ev.level)
-            n_perts += 1
-        else:
-            n_slaves += 1
-    if master is None:
+def _perturbation_levels(ev: EventColumns) -> np.ndarray:
+    """The perturbation levels in order, or ScheduleParseError naming the first
+    event to break a rule of decompile_schedule. Row i of the table `bad` marks
+    the rules event i breaks, in the order they are checked: its fields, no
+    overlap on its channel, the counts of the window its master closes, lying
+    in the latest master's window. Row n, the end of the stream, closes the
+    last window. The first mark in row-major order is the fault."""
+    code, start, duration, n = ev.code, ev.start, ev.duration, len(ev)
+    if not n:
         raise ScheduleParseError("schedule has no master drive events")
-    _check_window(master, n_perts, n_slaves)
-    return levels
-
-
-def _levels_by_columns(ev: EventColumns) -> np.ndarray | None:
-    """What _levels_by_scan returns, from array checks, or None if any check
-    fails or is in doubt (an unknown channel, an end that overflows)."""
-    code, start = ev.code, ev.start
+    # A compiled event may overrun its neighbour's start or its master window's
+    # end by float rounding, e.g. when the three slave pulses fill the master
+    # gate exactly. Rounding grows with the end time, so the slack is four ulps
+    # of it and at least 1 fs (also for an end that overflows to inf).
     with np.errstate(over="ignore", invalid="ignore"):
-        end = start + ev.duration  # finite only where start and duration are
-        slack = np.maximum(1e-15, 4 * np.spacing(np.abs(end)))  # _time_slack(end)
+        end = start + duration
+        slack = np.fmax(1e-15, 4 * np.spacing(np.abs(end)))
+    bad = np.zeros((n + 1, 4), dtype=bool)
+    bad[:n, 0] = (code >= len(_CHANNELS)) | ~(
+        np.isfinite(start) & np.isfinite(duration) & np.isfinite(ev.level) & (duration > 0.0))
+    for c in range(len(_CHANNELS)):
+        i = np.flatnonzero(code == c)
+        bad[i[1:], 1] = start[i[1:]] < (end - slack)[i[:-1]]
+    masters = np.flatnonzero(code == 0)
     window = np.cumsum(code == 0) - 1  # the latest master at or before each event
-    if len(ev.names) > len(_CHANNELS) or not len(ev) or window[0] < 0 or not (
-            np.isfinite(end) & np.isfinite(ev.level) & (ev.duration > 0.0)).all():
-        return None
-    on = [code == c for c in range(3)]
-    counts = np.bincount(window * 3 + code, minlength=3 * (window[-1] + 1)).reshape(-1, 3)
-    ok = ((counts == (1, 2, 3)).all()  # a master, two perturbations, three slaves
-          and (end <= (end + slack)[on[0]][window]).all()
-          and all((start[c][1:] >= (end - slack)[c][:-1]).all() for c in on))
-    return ev.level[on[1]] if ok else None
+    known = (window >= 0) & (code < len(_CHANNELS))  # an unknown code is a field fault
+    counts = np.bincount(window[known] * 3 + code[known], minlength=3 * len(masters))
+    counts = counts.reshape(-1, 3)  # per window: a master, perturbations, slaves
+    miscounted = (counts[:, 1] != 2) | (counts[:, 2] != 3)
+    bad[np.append(masters, n)[1:][miscounted], 2] = True
+    bad[:n, 3] = (code != 0) & (end > np.append((end + slack)[masters], -np.inf)[window])
+    row, rule = divmod(int(bad.argmax()), 4)
+    if not bad[row, rule]:
+        return ev.level[code == 1]
+    if rule == 2:
+        w = miscounted.argmax()
+        want, what = (2, "perturbation") if counts[w, 1] != 2 else (3, "slave-drive")
+        raise ScheduleParseError(
+            f"expected {want} {what} events in master window at t={float(start[masters[w]])}, "
+            f"found {counts[w, want - 1]}")
+    e = ScheduleEvent(ev.names[code[row]], *map(float, (start[row], duration[row], ev.level[row])))
+    if rule == 0:
+        raise ScheduleParseError(f"event at t={e.start!r}: {_event_problem(e)}")
+    if rule == 1:
+        raise ScheduleParseError(f"overlapping events on channel {e.channel} at t={e.start}")
+    raise ScheduleParseError(
+        f"{e.channel} event at t={e.start!r} lies outside every master window")
 
 
 def decompile_schedule(
@@ -427,16 +398,14 @@ def decompile_schedule(
     In canonical (start, channel) order a master opens a window, and every
     other event must end inside the window of the latest master: a master
     sorts first at equal starts, and masters do not overlap, so no earlier
-    window can hold the event. The columns are checked with array operations;
-    a schedule that fails is scanned event by event to name the first bad one.
+    window can hold the event. The columns are checked with array operations,
+    which also name the first bad event of a schedule that fails.
     """
     if timing != sched.timing:
         raise ScheduleParseError(
             f"schedule was compiled for {sched.timing}, not {timing}"
         )
-    levels = _levels_by_columns(sched.events)
-    if levels is None:
-        levels = np.array(_levels_by_scan(sched.events.rows))
+    levels = _perturbation_levels(sched.events)
     keys = levels.view(np.complex128).tolist()  # one (v12, v23) pair per symbol
     pairs = {k: PhasePair(phase_for_voltage(k.real, cal), phase_for_voltage(k.imag, cal))
              for k in set(keys)}

@@ -18,6 +18,7 @@ error parameter e_det.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -107,6 +108,9 @@ class DecoyIntensities:
             raise ConfigurationError(
                 "need nu + omega < mu for the single-photon yield bound"
             )
+        # The decoy bounds take e^mu, which overflows above ln(DBL_MAX).
+        if self.mu > math.log(sys.float_info.max):
+            raise ConfigurationError(f"mu must be <= ln(DBL_MAX) = 709.78, got {self.mu!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmqkd.cli import EXIT_MODEL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _build_parser, _load, main
 from dmqkd.config import RunConfig, config_from_flat, config_to_text
@@ -108,6 +110,25 @@ class TestSweep:
         assert run(*base, "--frames", "20000", "mc") == EXIT_MODEL
         # Only the link models read Y0, so the config itself loads.
         assert run("--config", str(cfg), "write-defaults", str(tmp_path / "d.txt")) == EXIT_OK
+
+    def test_linearized_gain_above_one_is_model_error(self, tmp_path, capsys):
+        # At 0 dB a mu = 40 pulse clicks with probability 1 - 7e-13, and the
+        # linearized dark counts lift Q above 1.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("mu = 40\nnu = 1\nomega = 0\nloss_db = 0\n")
+        base = ("--config", str(cfg), "--out", str(tmp_path))
+        assert run(*base, "sweep") == EXIT_MODEL
+        assert run(*base, "--frames", "20000", "mc") == EXIT_MODEL
+        assert capsys.readouterr().err.count("exceeds 1") == 2
+
+    @pytest.mark.parametrize("text", ["mu = 800\n", "mu = inf\nnu = 5e8\n"])
+    def test_intensity_whose_exp_overflows_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        base = ("--config", str(cfg), "--out", str(tmp_path))
+        assert run(*base, "--frames", "20000", "mc") == EXIT_USAGE
+        assert "ln(DBL_MAX)" in capsys.readouterr().err
+        assert not (tmp_path / "mc_report.json").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -280,3 +301,27 @@ class TestUsage:
         cfg.write_text('{"mc_frames": 20000.9}')
         assert run("--config", str(cfg), "mc") == EXIT_USAGE
         assert "mc_frames" in capsys.readouterr().err
+
+
+# The keys write-defaults writes, less the sweep range and the MC run, which
+# the property sets by flags.
+_PHYSICAL_KEYS = [line.split(" = ")[0] for line in config_to_text(RunConfig()).splitlines()[1:]
+                  if not line.startswith(("sweep_", "mc_"))]
+_EXTREMES = [0.0, 1.0, -1.0, 0.5, 2.0, 40.0, 709.8, 800.0, 1e300, 1e-300, 1e6, 5e8,
+             math.nan, math.inf, -math.inf, 1 + 1e-7, 1 - 1e-7]
+
+
+class TestExtremeConfigs:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.dictionaries(st.sampled_from(_PHYSICAL_KEYS), st.sampled_from(_EXTREMES),
+                                  min_size=1, max_size=3),
+           loss_max=st.floats(0.0, 200.0), loss_step=st.floats(0.5, 10.0))
+    def test_every_config_ends_in_an_exit_code(self, tmp_path_factory, values, loss_max,
+                                               loss_step):
+        out = tmp_path_factory.mktemp("extreme")
+        cfg = out / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        base = ("--config", str(cfg), "--out", str(out))
+        assert run(*base, "--loss-max", repr(loss_max), "--loss-step", repr(loss_step),
+                   "sweep") in range(4)
+        assert run(*base, "--frames", "10000", "mc") in range(4)

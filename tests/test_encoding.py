@@ -769,6 +769,35 @@ class TestScheduleValidation:
     def test_bad_hand_built_event_rejected(self, event):
         t = TimingParams()
         sched = _compiled([EncodingSymbol("Z", 0)])
-        bad = WaveformSchedule(timing=t, events=sched.events + (event,))
+        bad = WaveformSchedule(timing=t, events=tuple(sched.events) + (event,))
         with pytest.raises(ScheduleParseError):
             decompile_schedule(bad, t, CalibrationCurve())
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda ev: [], "schedule has no master drive events"),
+            (lambda ev: ev + [replace(ev[1], level=math.nan)],
+             "event at t=0.0: start, duration and level must be finite, got 0.0 3e-10 nan"),
+            (lambda ev: ev[:1] + ev[3:],
+             "expected 2 perturbation events in master window at t=0.0, found 1"),
+            (lambda ev: ev + [replace(ev[1], start=-1e-9)],
+             "slave_drive event at t=-1e-09 lies outside every master window"),
+            (lambda ev: ev[:-1] + [replace(ev[-1], duration=1e-9)],
+             "slave_drive event at t=2.5e-09 lies outside every master window"),
+            (lambda ev: ev + [ScheduleEvent("mystery", 1e-10, 1.5e-10, 0.4)],
+             "event at t=1e-10: unknown channel 'mystery'"),
+            (lambda ev: ev[:3] + [replace(ev[3], start=1e-10)] + ev[4:],
+             "overlapping events on channel slave_drive at t=1e-10"),
+        ],
+        ids=["empty", "nan-duplicate", "both-counts", "before-first", "stretched",
+             "unknown-channel", "overlap"],
+    )
+    def test_first_fault_message(self, edit, message):
+        # Events of [Z0s, Y1s] in order: master, slave, perturbation, slave,
+        # perturbation, slave, then the same for the second symbol.
+        t = TimingParams()
+        events = edit(list(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]).events))
+        with pytest.raises(ScheduleParseError) as info:
+            decompile_schedule(WaveformSchedule(timing=t, events=events), t, CalibrationCurve())
+        assert str(info.value) == message
