@@ -208,7 +208,9 @@ def load_config(path: str | Path) -> RunConfig:
     if path.suffix == ".json":
         try:
             flat = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except ConfigurationError:
+            raise
+        except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
             raise ConfigurationError(f"bad JSON in {path}: {exc}") from exc
         if not isinstance(flat, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")

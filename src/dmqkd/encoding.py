@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DmqkdError, InvalidSymbolError, ScheduleParseError
+from .errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
 from .photonics import Phase
 
 SIGNAL = "signal"
@@ -300,7 +300,8 @@ def compile_schedule(
     if not symbols:
         raise ConfigurationError("symbol stream is empty")
     n = len(symbols)
-    kinds = {sym: k for k, sym in enumerate(dict.fromkeys(symbols))}  # distinct symbols
+    kinds: dict = {}  # distinct symbols, each with its first-seen index
+    kind = np.fromiter((kinds.setdefault(sym, len(kinds)) for sym in symbols), np.intp, n)
     volts = np.array([[voltage_for_phase(phi, cal) for phi in (pair.phi12, pair.phi23)]
                       for pair in (encode_symbol(sym, decoy_table) for sym in kinds)])
     # A symbol's six events, in their canonical order unless rounding says
@@ -312,7 +313,7 @@ def compile_schedule(
     t0 = np.arange(n) * timing.symbol_period
     start = t0[:, None] + np.array([0, 0, 0, 1, 1, 2]) * delay + [0, 0, offset, 0, offset, 0]
     level = np.full((n, 6), DRIVE_LEVEL_V)
-    level[:, [2, 4]] = volts[np.fromiter(map(kinds.__getitem__, symbols), np.intp, n)]
+    level[:, [2, 4]] = volts[kind]
     code = [_CODES[ch] for ch in (CH_MASTER, CH_SLAVE, CH_PERT, CH_SLAVE, CH_PERT, CH_SLAVE)]
     return WaveformSchedule(timing, EventColumns(
         _CHANNELS, np.tile(np.array(code, dtype=np.int8), n), start.ravel(),

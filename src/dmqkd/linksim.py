@@ -256,7 +256,7 @@ def simulate_frames_mc(
         m = row_s.size
         # Row 0 usually holds most sifted frames: compare all against its click
         # probability, then redo the frames of the Z-basis rows.
-        z = np.flatnonzero(row_s)
+        z = np.flatnonzero(row_s != 0)
         u_sig = rng.random(out=buf[:m])
         sig_click = u_sig < p_sig[0]
         sig_click[z] = u_sig[z] < p_sig[row_s[z]]

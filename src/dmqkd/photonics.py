@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import DmqkdError
 
@@ -51,12 +52,12 @@ class PolarForm:
     phi: Phase
 
 
-@dataclass(frozen=True)
-class PulseFrame:
+class PulseFrame(NamedTuple):
     """The five time bins around one encoding triplet, before the AMZI.
 
     Bin order is L_P, R_P, E, L, R: the last pulse of the preceding triplet,
     then the triplet a1, a2, a3, then the first pulse of the following triplet.
+    It is an immutable named tuple, as is OutputFrame.
     """
 
     a3_prev: complex
@@ -66,8 +67,7 @@ class PulseFrame:
     a1_next: complex
 
 
-@dataclass(frozen=True)
-class OutputFrame:
+class OutputFrame(NamedTuple):
     """The four interfered bins after the AMZI: R_P, E, L, R."""
 
     rp: complex
@@ -76,9 +76,11 @@ class OutputFrame:
     r: complex
 
 
-def _check_finite(z: complex, what: str = "amplitude") -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DmqkdError(f"{what} must be finite, got {z!r}")
+def _check_finite(bins: Iterable[complex], what: str = "amplitude") -> None:
+    """Raise naming the first bin whose real or imaginary part is not finite."""
+    for z in bins:
+        if not cmath.isfinite(z):
+            raise DmqkdError(f"{what} must be finite, got {z!r}")
 
 
 def amplitude_to_polar(alpha: complex) -> PolarForm:
@@ -87,7 +89,7 @@ def amplitude_to_polar(alpha: complex) -> PolarForm:
     A zero amplitude gets phase 0 by convention (the angle is undefined there).
     """
     alpha = complex(alpha)
-    _check_finite(alpha)
+    _check_finite((alpha,))
     r = abs(alpha)
     if r == 0.0:
         return PolarForm(0.0, Phase(0.0))
@@ -114,11 +116,11 @@ def make_frame(
     p12 = float(phi12)
     p23 = float(phi23)
     return PulseFrame(
-        a3_prev=a * cmath.exp(1j * (p1 + float(phi_rp))),
-        a1=a * cmath.exp(1j * p1),
-        a2=a * cmath.exp(1j * (p1 + p12)),
-        a3=a * cmath.exp(1j * (p1 + p12 + p23)),
-        a1_next=a * cmath.exp(1j * (p1 + p12 + p23 + float(phi_rf))),
+        a * cmath.exp(1j * (p1 + float(phi_rp))),
+        a * cmath.exp(1j * p1),
+        a * cmath.exp(1j * (p1 + p12)),
+        a * cmath.exp(1j * (p1 + p12 + p23)),
+        a * cmath.exp(1j * (p1 + p12 + p23 + float(phi_rf))),
     )
 
 
@@ -127,16 +129,17 @@ def amzi_transform(frame: PulseFrame) -> OutputFrame:
 
     The resulting magnitudes follow A*|cos(dphi/2)| where dphi is the phase
     step between the interfered pulses, and the E-L phase difference is
-    (phi12 + phi23)/2 up to the sign of the cosines.
+    (phi12 + phi23)/2 up to the sign of the cosines. Non-finite input bins,
+    and output bins that overflow, raise DmqkdError.
     """
-    for z in (frame.a3_prev, frame.a1, frame.a2, frame.a3, frame.a1_next):
-        _check_finite(z)
-    return OutputFrame(
-        rp=0.5 * (frame.a3_prev + frame.a1),
-        e=0.5 * (frame.a1 + frame.a2),
-        l=0.5 * (frame.a2 + frame.a3),
-        r=0.5 * (frame.a3 + frame.a1_next),
-    )
+    a3_prev, a1, a2, a3, a1_next = frame
+    out = OutputFrame(0.5 * (a3_prev + a1), 0.5 * (a1 + a2), 0.5 * (a2 + a3), 0.5 * (a3 + a1_next))
+    # Every input bin feeds an output bin, and a sum with a non-finite part
+    # stays non-finite, so one pass over the output also covers the input.
+    if not all(map(cmath.isfinite, out)):
+        _check_finite(frame)
+        _check_finite(out, "AMZI output")
+    return out
 
 
 def relative_phase_el(phi12: float, phi23: float) -> Phase:

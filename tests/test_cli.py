@@ -296,6 +296,16 @@ class TestUsage:
         assert run("--config", str(cfg), "sweep") == EXIT_USAGE
         assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"mu": ' + "9" * 5000 + "}", "[" * 100_000],
+                             ids=["long_integer", "deep_nesting"])
+    def test_json_the_decoder_cannot_hold_is_usage_error(self, tmp_path, capsys, text):
+        # json raises ValueError for an integer past Python's 4,300-digit
+        # limit and RecursionError for nesting past the recursion limit.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run("--config", str(cfg), "sweep") == EXIT_USAGE
+        assert "bad JSON" in capsys.readouterr().err
+
     def test_wrong_config_type(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mc_frames": 20000.9}')
@@ -325,3 +335,45 @@ class TestExtremeConfigs:
         assert run(*base, "--loss-max", repr(loss_max), "--loss-step", repr(loss_step),
                    "sweep") in range(4)
         assert run(*base, "--frames", "10000", "mc") in range(4)
+
+
+# Keys and values for config files of any shape. The sweep_* keys are left out
+# so that every drawn file runs the default 61-point sweep or fails fast.
+_FUZZ_KEYS = _PHYSICAL_KEYS + ["mc_frames", "mc_seed", "mystery", ""]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["null", "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "true", '"0.4"',
+                     "{}", '{"mu": 0.4}', "[]", "[0.4]", "0", "-1", "0.5", "1e-300", "1e300"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["9" * 20, "9" * 400, "9" * 4301, "-" + "9" * 5000]))
+_NON_OBJECTS = ["[]", "null", "0.4", '"mu"', "[" * 5000, ""]
+
+
+@st.composite
+def _config_files(draw):
+    """(suffix, bytes) of a .json or key-value config file: duplicate and
+    unknown keys, non-numbers, huge integers, a top-level non-object, and
+    sometimes a byte that is not UTF-8."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES), max_size=4))
+    suffix = draw(st.sampled_from([".json", ".txt"]))
+    if suffix == ".txt":
+        text = "".join(f"{key} = {value}\n" for key, value in pairs)
+    elif draw(st.booleans()):
+        text = "{" + ", ".join(f'"{key}": {value}' for key, value in pairs) + "}"
+    else:
+        text = draw(st.sampled_from(_NON_OBJECTS))
+    data = text.encode()
+    if draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + data[cut:]
+    return suffix, data
+
+
+class TestConfigBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(file=_config_files())
+    def test_every_config_file_ends_in_an_exit_code(self, tmp_path_factory, file):
+        suffix, data = file
+        out = tmp_path_factory.mktemp("bytes")
+        cfg = out / f"cfg{suffix}"
+        cfg.write_bytes(data)
+        assert run("--config", str(cfg), "--out", str(out), "sweep") in range(4)

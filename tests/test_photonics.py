@@ -1,9 +1,14 @@
 import cmath
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmqkd import photonics
 from dmqkd.errors import DmqkdError
 from dmqkd.photonics import (
     TWO_PI,
@@ -13,6 +18,51 @@ from dmqkd.photonics import (
     make_frame,
     relative_phase_el,
 )
+
+
+# The frozen-dataclass frames and render functions the named tuples replaced,
+# kept as the oracle: same class names, so equal reprs mean equal bins, bit
+# for bit, down to the sign of a zero.
+@dataclass(frozen=True)
+class PulseFrame:
+    a3_prev: complex
+    a1: complex
+    a2: complex
+    a3: complex
+    a1_next: complex
+
+
+@dataclass(frozen=True)
+class OutputFrame:
+    rp: complex
+    e: complex
+    l: complex
+    r: complex
+
+
+def _oracle_make_frame(a, phi1, phi12, phi23, phi_rp, phi_rf):
+    p1, p12, p23 = float(phi1), float(phi12), float(phi23)
+    return PulseFrame(
+        a3_prev=a * cmath.exp(1j * (p1 + float(phi_rp))),
+        a1=a * cmath.exp(1j * p1),
+        a2=a * cmath.exp(1j * (p1 + p12)),
+        a3=a * cmath.exp(1j * (p1 + p12 + p23)),
+        a1_next=a * cmath.exp(1j * (p1 + p12 + p23 + float(phi_rf))),
+    )
+
+
+def _oracle_amzi_transform(frame):
+    return OutputFrame(
+        rp=0.5 * (frame.a3_prev + frame.a1),
+        e=0.5 * (frame.a1 + frame.a2),
+        l=0.5 * (frame.a2 + frame.a3),
+        r=0.5 * (frame.a3 + frame.a1_next),
+    )
+
+
+_PHASES = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6).map(Phase))
+_NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+               complex(0.0, -math.inf), complex(-math.inf, math.inf)]
 
 
 class TestPhase:
@@ -87,6 +137,42 @@ class TestAmziTransform:
     def test_make_frame_rejects_negative_amplitude(self):
         with pytest.raises(DmqkdError):
             make_frame(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.sampled_from([0.0, 0.5, 1.0, 1.5, 1e150]),
+           phases=st.tuples(*[_PHASES] * 5))
+    def test_matches_the_dataclass_oracle_bit_for_bit(self, a, phases):
+        frame = make_frame(a, *phases)
+        oracle = _oracle_make_frame(a, *phases)
+        assert repr(frame) == repr(oracle)
+        assert repr(amzi_transform(frame)) == repr(_oracle_amzi_transform(oracle))
+
+    def test_frames_are_immutable_tuples(self):
+        frame = make_frame(1.0, 0.7, 1.1, 2.3, 0.4, 5.0)
+        out = amzi_transform(frame)
+        assert frame == tuple(frame) and out == (out.rp, out.e, out.l, out.r)
+        with pytest.raises(AttributeError):
+            out.e = 0j
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("index", range(5))
+    def test_non_finite_bin_is_named(self, index, bad):
+        bins = [1.0 + 0j] * 5
+        bins[index] = bad
+        with pytest.raises(DmqkdError, match=re.escape(f"amplitude must be finite, got {bad!r}")):
+            amzi_transform(photonics.PulseFrame(*bins))
+
+    def test_infinite_phase_gives_a_frame_the_transform_rejects(self):
+        frame = make_frame(1.0, 0.0, math.inf, 0.0, 0.0, 0.0)
+        assert repr(frame) == repr(_oracle_make_frame(1.0, 0.0, math.inf, 0.0, 0.0, 0.0))
+        with pytest.raises(DmqkdError, match="amplitude must be finite, got \\(nan\\+nanj\\)"):
+            amzi_transform(frame)
+
+    def test_overflowing_output_is_rejected(self):
+        # 0.5 * (a1 + a2) overflows to inf + nan*j although every input is finite.
+        message = "AMZI output must be finite, got (inf+nanj)"
+        with pytest.raises(DmqkdError, match=re.escape(message)):
+            amzi_transform(make_frame(1e308, 0.0, 0.0, 0.0, 1.0, 2.0))
 
 
 class TestRelativePhaseEl:
