@@ -10,8 +10,7 @@ the true single-photon statistics of an honest channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ConfigurationError,
@@ -28,8 +27,7 @@ from .linksim import (
 )
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(NamedTuple):
     """All intermediate quantities behind one secure-key-rate evaluation."""
 
     q_mu: float
@@ -138,16 +136,7 @@ def secure_key_rate(
         + q1_l * (1.0 - binary_entropy(e1_u)),
     )
     r_bps = r_per_pulse * params.clock * params.y_receiver_factor
-    return RateBreakdown(
-        q_mu=mu_gain.q,
-        e_mu=mu_gain.e,
-        y0_l=y0_l,
-        y1_l=y1_l,
-        e1_u=e1_u,
-        q1_l=q1_l,
-        r_per_pulse=r_per_pulse,
-        r_bps=r_bps,
-    )
+    return RateBreakdown(mu_gain.q, mu_gain.e, y0_l, y1_l, e1_u, q1_l, r_per_pulse, r_bps)
 
 
 def analytic_class_gains(
@@ -165,7 +154,10 @@ def analytic_class_gains(
         q = y0 + sig  # >= 0, and 0 only on a dead channel
         if q > 1.0:
             raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-        gains.append(GainQber(q, min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5))
+        # q and e lie in [0, 1] here, so GainQber's range check is skipped.
+        g = object.__new__(GainQber)
+        g.__dict__.update(q=q, e=min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5)
+        gains.append(g)
     return tuple(gains)
 
 
@@ -178,8 +170,7 @@ def rate_at_loss(
     return secure_key_rate(mu_g, nu_g, om_g, at, intens)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     loss_db: float
     breakdown: RateBreakdown
 
@@ -220,11 +211,8 @@ def sweep_loss(
     intens: DecoyIntensities,
 ) -> list[SweepPoint]:
     """Evaluate the analytic rate over a loss range (inclusive of both ends)."""
-    points: list[SweepPoint] = []
-    for i in range(sweep_point_count(loss_min, loss_max, step)):
-        loss = loss_min + i * step
-        points.append(SweepPoint(loss, rate_at_loss(loss, params, intens)))
-    return points
+    losses = [loss_min + i * step for i in range(sweep_point_count(loss_min, loss_max, step))]
+    return [SweepPoint(loss, rate_at_loss(loss, params, intens)) for loss in losses]
 
 
 def cutoff_loss(points: Iterable[SweepPoint]) -> float | None:

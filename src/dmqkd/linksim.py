@@ -180,8 +180,9 @@ def signal_click_probs(
     """Per-row probability that the pulse itself (not a dark count) clicks,
     in STATE_ROWS order; the Y-basis row carries the receiver factor."""
     eta = params.eta
-    mu, nu, omega = [1.0 - math.exp(-eta * lam) for lam in (intens.mu, intens.nu, intens.omega)]
-    return params.y_receiver_factor * mu, mu, nu, omega
+    mu = 1.0 - math.exp(-eta * intens.mu)
+    return (params.y_receiver_factor * mu, mu, 1.0 - math.exp(-eta * intens.nu),
+            1.0 - math.exp(-eta * intens.omega))
 
 
 def expected_row_stats(

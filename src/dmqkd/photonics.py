@@ -108,19 +108,29 @@ def make_frame(
 
     phi1 is the (randomised) global phase of the triplet, phi12/phi23 the
     encoding phase steps, and phi_rp/phi_rf the random phases of the preceding
-    and following triplets relative to this one.
+    and following triplets relative to this one. A phase that is not finite,
+    or finite phases whose sum overflows, raises DmqkdError.
     """
     if not math.isfinite(a) or a < 0.0:
         raise DmqkdError(f"pulse amplitude must be finite and >= 0, got {a!r}")
     p1 = float(phi1)
-    p12 = float(phi12)
-    p23 = float(phi23)
+    p12 = p1 + float(phi12)
+    p123 = p12 + float(phi23)
+    # Every phase is a term of one of these two sums, and a sum with a
+    # non-finite term (or one that overflows) is not finite.
+    p_rf = p123 + float(phi_rf)
+    p_rp = p1 + float(phi_rp)
+    if not (math.isfinite(p_rf) and math.isfinite(p_rp)):
+        raise DmqkdError(
+            f"phases must be finite with a finite sum, got phi1={phi1!r}, phi12={phi12!r}, "
+            f"phi23={phi23!r}, phi_rp={phi_rp!r}, phi_rf={phi_rf!r}"
+        )
     return PulseFrame(
-        a * cmath.exp(1j * (p1 + float(phi_rp))),
+        a * cmath.exp(1j * p_rp),
         a * cmath.exp(1j * p1),
-        a * cmath.exp(1j * (p1 + p12)),
-        a * cmath.exp(1j * (p1 + p12 + p23)),
-        a * cmath.exp(1j * (p1 + p12 + p23 + float(phi_rf))),
+        a * cmath.exp(1j * p12),
+        a * cmath.exp(1j * p123),
+        a * cmath.exp(1j * p_rf),
     )
 
 

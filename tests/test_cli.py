@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import pytest
@@ -377,3 +378,75 @@ class TestConfigBytes:
         cfg = out / f"cfg{suffix}"
         cfg.write_bytes(data)
         assert run("--config", str(cfg), "--out", str(out), "sweep") in range(4)
+
+
+# Flags and the values drawn for them. "{cfg}", "{stream}", "{defaults}" and
+# "{missing}" stand for files in the example's directory. --help is left out:
+# argparse ends it with SystemExit(0), as a command line expects.
+_ARGV_FLAGS = {
+    "--frames": ["0", "1", "10000", "100000", "-1", "1e5", "nan"],
+    "--seed": ["0", "-1", str(2**63 - 1), str(-(2**63)), str(2**63), str(2**64), "x"],
+    "--loss-min": ["0", "10", "-1", "nan", "1e308"],
+    "--loss-max": ["5", "60", "inf", "-0.0"],
+    "--loss-step": ["0.5", "2", "0", "1e-300", "-inf"],
+    "--config": ["{cfg}", "{cfg}", "{missing}", "{stream}"],
+    "--no-such-flag": ["1"],
+    "-z": [],
+}
+_ARGV_COMMANDS = {
+    "encode": ["{stream}", "{missing}"],
+    "sweep": [],
+    "mc": [],
+    "verify": [],
+    "write-defaults": ["{defaults}"],
+    "decode": [],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Flags (known and unknown, values missing, repeated or stray), then
+    maybe a subcommand with or without its argument, then maybe more flags."""
+
+    def flags(most):
+        argv = []
+        for _ in range(draw(st.integers(0, most))):
+            flag = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+            values = _ARGV_FLAGS[flag]
+            argv.append(flag)
+            # Mostly one value; sometimes none, or a second one.
+            if values:
+                argv += [draw(st.sampled_from(values))
+                         for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2])))]
+        return argv
+
+    argv = flags(3)
+    command = draw(st.sampled_from(sorted(_ARGV_COMMANDS) + [None]))
+    if command is not None:
+        argv.append(command)
+        if _ARGV_COMMANDS[command]:
+            argv += draw(st.lists(st.sampled_from(_ARGV_COMMANDS[command]), max_size=1))
+    return argv + (flags(1) if draw(st.integers(0, 3)) == 0 else [])
+
+
+class TestArgv:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argvs())
+    def test_every_argv_ends_in_an_exit_code(self, tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("argv")
+        paths = {"cfg": out / "cfg.txt", "stream": out / "stream.txt",
+                 "defaults": out / "defaults.txt", "missing": out / "missing.txt"}
+        # The only drawn config that loads is this one, and every drawn
+        # --frames is at most 10^5 too.
+        paths["cfg"].write_text("mc_frames = 100000\n")
+        paths["stream"].write_text("Z0s Y1s Z0d Z1v\n")
+        argv = ["--config", str(paths["cfg"]), "--out", str(out)] + [
+            arg.format(**paths) for arg in argv
+        ]
+        # A stray value can be taken as a file to write; keep it in `out`.
+        cwd = os.getcwd()
+        os.chdir(out)
+        try:
+            assert main(argv) in range(4)
+        finally:
+            os.chdir(cwd)

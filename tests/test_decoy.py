@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from dmqkd.decoy import (
     MAX_SWEEP_POINTS,
     SWEEP_CSV_HEADER,
+    RateBreakdown,
+    SweepPoint,
+    analytic_class_gains,
     binary_entropy,
     bound_e1,
     bound_y0,
@@ -19,7 +23,12 @@ from dmqkd.decoy import (
     sweep_loss,
     sweep_point_count,
 )
-from dmqkd.errors import ConfigurationError, DegenerateDecoyError, UndefinedBoundError
+from dmqkd.errors import (
+    ConfigurationError,
+    DegenerateDecoyError,
+    ModelValidityError,
+    UndefinedBoundError,
+)
 from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams, with_loss
 
 
@@ -243,3 +252,84 @@ def test_bounds_sound_over_random_honest_links(params, intens, loss_db):
     assert b.y1_l <= y1 + 1e-12
     if b.y1_l > 0.0:
         assert b.e1_u >= (0.5 * y0 + params.e_det * eta) / y1 - 1e-12
+
+
+def test_rate_records_are_immutable_tuples():
+    params, intens = LinkParams(), DecoyIntensities()
+    b = rate_at_loss(15.0, params, intens)
+    assert RateBreakdown._fields == (
+        "q_mu", "e_mu", "y0_l", "y1_l", "e1_u", "q1_l", "r_per_pulse", "r_bps"
+    )
+    assert SweepPoint._fields == ("loss_db", "breakdown")
+    (point,) = sweep_loss(15.0, 15.0, 1.0, params, intens)
+    assert b == tuple(b) and point == (15.0, b) and point.qber == b.e_mu == b[1]
+    with pytest.raises(AttributeError):
+        b.r_bps = 0.0
+    with pytest.raises(AttributeError):
+        point.loss_db = 0.0
+
+
+# The frozen-dataclass record and the per-point GainQber construction that the
+# named tuples replaced, kept as the oracle: the same class name, so equal
+# reprs mean equal fields, bit for bit.
+@dataclass(frozen=True)
+class _OracleRateBreakdown:
+    q_mu: float
+    e_mu: float
+    y0_l: float
+    y1_l: float
+    e1_u: float
+    q1_l: float
+    r_per_pulse: float
+    r_bps: float
+
+
+_OracleRateBreakdown.__name__ = _OracleRateBreakdown.__qualname__ = "RateBreakdown"
+
+
+def _oracle_class_gains(params, intens):
+    y0, e_det, eta = params.y0, params.e_det, params.eta
+    mu, nu, omega = [1.0 - math.exp(-eta * lam) for lam in (intens.mu, intens.nu, intens.omega)]
+    gains = []
+    for sig in (mu, nu, omega):
+        q = y0 + sig
+        if q > 1.0:
+            raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
+        gains.append(GainQber(q, min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5))
+    return tuple(gains)
+
+
+def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
+    y0_l = bound_y0(nu_gain.q, omega_gain.q, intens.nu, intens.omega)
+    y1_l = bound_y1(
+        mu_gain.q, nu_gain.q, omega_gain.q, intens.mu, intens.nu, intens.omega, y0_l
+    )
+    if y1_l > 0.0:
+        e1_u = bound_e1(
+            nu_gain.e * nu_gain.q, omega_gain.e * omega_gain.q, intens.nu, intens.omega, y1_l
+        )
+    else:
+        e1_u = 0.5
+    q1_l = y1_l * intens.mu * math.exp(-intens.mu)
+    q_sift = params.p_y_alice * params.p_y_bob
+    r_per_pulse = q_sift * max(
+        0.0,
+        -mu_gain.q * params.f_ec * binary_entropy(mu_gain.e)
+        + q1_l * (1.0 - binary_entropy(e1_u)),
+    )
+    r_bps = r_per_pulse * params.clock * params.y_receiver_factor
+    return _OracleRateBreakdown(
+        q_mu=mu_gain.q, e_mu=mu_gain.e, y0_l=y0_l, y1_l=y1_l, e1_u=e1_u, q1_l=q1_l,
+        r_per_pulse=r_per_pulse, r_bps=r_bps,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(honest_links, unit_floats, decoy_intensities(), st.floats(0.0, 80.0))
+def test_rate_matches_the_dataclass_oracle_bit_for_bit(params, e_det, intens, loss_db):
+    # e_det over all of [0, 1], so that the QBER's clamp at 1 is reached.
+    params = replace(params, e_det=e_det)
+    at = with_loss(params, loss_db)
+    gains = _oracle_class_gains(at, intens)
+    assert repr(rate_at_loss(loss_db, params, intens)) == repr(_oracle_rate(*gains, at, intens))
+    assert repr(analytic_class_gains(at, intens)) == repr(gains)

@@ -162,11 +162,20 @@ class TestAmziTransform:
         with pytest.raises(DmqkdError, match=re.escape(f"amplitude must be finite, got {bad!r}")):
             amzi_transform(photonics.PulseFrame(*bins))
 
-    def test_infinite_phase_gives_a_frame_the_transform_rejects(self):
-        frame = make_frame(1.0, 0.0, math.inf, 0.0, 0.0, 0.0)
-        assert repr(frame) == repr(_oracle_make_frame(1.0, 0.0, math.inf, 0.0, 0.0, 0.0))
-        with pytest.raises(DmqkdError, match="amplitude must be finite, got \\(nan\\+nanj\\)"):
-            amzi_transform(frame)
+    def test_non_finite_phase_is_rejected(self):
+        # Each phase in turn NaN or +-inf, then finite phases whose sums
+        # overflow: each used to give a frame of (nan+nanj) bins.
+        cases = []
+        for i in range(5):
+            for bad in (math.nan, math.inf, -math.inf):
+                phases = [0.0] * 5
+                phases[i] = bad
+                cases.append(phases)
+        cases += [[1e308, 0.0, 0.0, 1e308, 0.0], [0.0, 1e308, 1e308, 0.0, 0.0],
+                  [1e308, 0.0, 0.0, 0.0, 1e308], [0.0, -1e308, -1e308, 0.0, 0.0]]
+        for phases in cases:
+            with pytest.raises(DmqkdError, match=re.escape(f"phi23={phases[2]!r}, phi_rp=")):
+                make_frame(1.0, *phases)
 
     def test_overflowing_output_is_rejected(self):
         # 0.5 * (a1 + a2) overflows to inf + nan*j although every input is finite.

@@ -14,6 +14,7 @@ from dmqkd.photonics import TWO_PI, Phase
 from dmqkd.secprops import (
     BB84_SYMBOLS,
     N_EXACT,
+    _mod_two_pi,
     axial_uniformity_p,
     circular_uniformity_stat,
     leakage_phases,
@@ -91,6 +92,77 @@ class TestUniformityStats:
         assert axial_uniformity_p(samples) > 0.01
         _, p_plain = circular_uniformity_stat(samples)
         assert p_plain < 1e-6
+
+
+def _rayleigh_by_exp(samples):
+    """The Rayleigh test as it was written with the complex exponential,
+    kept as the oracle of circular_uniformity_stat."""
+    arr = np.asarray(samples, dtype=float)
+    n = arr.size
+    rbar = float(abs(np.exp(1j * arr).mean()))
+    z = n * rbar * rbar
+    p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
+    return z, min(max(p, 0.0), 1.0)
+
+
+@st.composite
+def _angle_arrays(draw):
+    """At least 100 angles: uniform, normal, huge or negative."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(100, 5000))
+    kind = draw(st.sampled_from(["uniform", "normal", "huge", "negative"]))
+    if kind == "uniform":
+        return rng.uniform(0.0, TWO_PI, n)
+    if kind == "normal":
+        return rng.normal(draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0)), n)
+    if kind == "huge":
+        return rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(6, 300))
+    return -rng.exponential(draw(st.floats(1e-3, 1e6)), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_angle_arrays())
+def test_rayleigh_matches_the_complex_exponential_bit_for_bit(samples):
+    assert repr(circular_uniformity_stat(samples)) == repr(_rayleigh_by_exp(samples))
+
+
+def _edges(v):
+    return [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+
+
+_MOD_SPECIALS = sorted(
+    {x for v in (0.0, TWO_PI, 2.0 * TWO_PI, -TWO_PI, 5e-324, 2.2250738585072014e-308)
+     for x in _edges(v) + _edges(-v)}
+) + [-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
+_MOD_ELEMENTS = st.one_of(
+    st.sampled_from(_MOD_SPECIALS),
+    st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_min=True, exclude_max=True),
+    st.floats(),
+)
+
+
+@st.composite
+def _mod_inputs(draw):
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_MOD_ELEMENTS, max_size=40)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-TWO_PI, 2.0 * TWO_PI, draw(st.integers(0, 2000)))
+    # Plant in-range edge values among the uniform draws.
+    picks = draw(st.lists(st.sampled_from([v for v in _MOD_SPECIALS if -TWO_PI < v < 2 * TWO_PI]),
+                          max_size=min(x.size, 10)))
+    x[: len(picks)] = picks
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mod_inputs())
+def test_mod_two_pi_matches_np_remainder_bit_for_bit(x):
+    with np.errstate(invalid="ignore"):
+        got, want = _mod_two_pi(x), np.remainder(x, TWO_PI)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 class TestMutualInformation:
