@@ -226,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
             "write-defaults": cmd_write_defaults,
         }[args.command]
         return handler(cfg, args)
+    except SystemExit:  # only --help exits the parser; error() raises instead
+        return EXIT_OK
     except ModelValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

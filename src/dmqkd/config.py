@@ -16,7 +16,7 @@ from pathlib import Path
 from .decoy import sweep_point_count
 from .encoding import CalibrationCurve, TimingParams
 from .errors import ConfigurationError
-from .linksim import DecoyIntensities, LinkParams
+from .linksim import DecoyIntensities, LinkParams, default_state_probs
 
 # Fewest and most frames an MC run may draw; the cap is tens of minutes of
 # sampling on a 2-core machine. The sweep's cap is decoy.MAX_SWEEP_POINTS.
@@ -73,6 +73,7 @@ class RunConfig:
                 f"link clock {self.link.clock!r} Hz differs from the master rate "
                 f"{self.timing.master_rate!r} Hz"
             )
+        default_state_probs(self.link, self.z_mix)  # a z_mix that mc cannot use fails every command
 
     def decoy_table(self) -> dict[str, float]:
         """Per-class intensity fractions relative to the signal intensity."""

@@ -174,10 +174,6 @@ class SweepPoint(NamedTuple):
     loss_db: float
     breakdown: RateBreakdown
 
-    @property
-    def qber(self) -> float:
-        return self.breakdown.e_mu
-
 
 # Most points a sweep may hold.
 MAX_SWEEP_POINTS = 1_000_000

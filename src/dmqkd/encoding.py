@@ -145,18 +145,17 @@ class ScheduleEvent:
 
 class EventColumns(Sequence[ScheduleEvent]):
     """A schedule's events as parallel columns, read as ScheduleEvent rows (built
-    on first read and kept). code indexes names, which begins with the three
-    channels in code order; start, duration and level are float64."""
+    on first read and kept). code indexes _CHANNELS; start, duration and level
+    are float64."""
 
-    def __init__(self, names, code, start, duration, level, rows=None):
-        self.names, self.code, self.start, self.duration, self.level = (
-            names, code, start, duration, level)
-        self._rows, self._text_parts = rows, None
+    def __init__(self, code, start, duration, level):
+        self.code, self.start, self.duration, self.level = code, start, duration, level
+        self._rows, self._text_parts = None, None
 
     @property
     def rows(self) -> tuple[ScheduleEvent, ...]:
         if self._rows is None:
-            self._rows = tuple(map(ScheduleEvent, map(self.names.__getitem__, self.code.tolist()),
+            self._rows = tuple(map(ScheduleEvent, map(_CHANNELS.__getitem__, self.code.tolist()),
                                    self.start.tolist(), self.duration.tolist(), self.level.tolist()))
         return self._rows
 
@@ -169,38 +168,34 @@ class EventColumns(Sequence[ScheduleEvent]):
     def __eq__(self, other: object) -> bool:
         return self.rows == (other.rows if isinstance(other, EventColumns) else other)
 
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
 
 @dataclass(frozen=True)
 class WaveformSchedule:
-    """A time-sorted list of events realizing a symbol stream.
+    """A time-sorted list of valid events realizing a symbol stream.
 
     Times are absolute offsets in seconds from the first master onset, stored
-    at double precision. Events are kept in canonical (start, channel) order:
-    rows given here are sorted as Python sorts them, columns only if an O(n)
-    check finds them out of order. Either way they read back as EventColumns.
+    at double precision. Building a schedule checks every event: the first
+    with a channel code outside the three channels, a non-finite field or a
+    duration <= 0 raises ScheduleParseError. Events are kept in canonical
+    (start, channel) order, sorted only if an O(n) check finds them out of it.
     """
 
     timing: TimingParams
-    events: Sequence[ScheduleEvent] = ()
+    events: EventColumns
 
     def __post_init__(self) -> None:
         ev = self.events
-        if not isinstance(ev, EventColumns):
-            rows = tuple(ScheduleEvent(e.channel, float(e.start), float(e.duration), float(e.level))
-                         for e in sorted(ev, key=lambda e: (e.start, e.channel)))
-            names = tuple(dict.fromkeys(_CHANNELS + tuple(e.channel for e in rows)))
-            index = {ch: code for code, ch in enumerate(names)}
-            cols = np.array([(index[e.channel], e.start, e.duration, e.level) for e in rows])
-            cols = cols.reshape(-1, 4).T
-            ev = EventColumns(names, cols[0].astype(np.intp), *cols[1:], rows=rows)
-        else:
-            ds, dc = np.diff(ev.start), np.diff(ev.code)
-            if not ((ds > 0) | ((ds == 0) & (dc >= 0))).all():
-                o = np.lexsort((ev.code, ev.start))
-                ev = EventColumns(ev.names, ev.code[o], ev.start[o], ev.duration[o], ev.level[o])
+        ok = (np.isfinite(ev.start) & np.isfinite(ev.duration) & np.isfinite(ev.level)
+              & (ev.duration > 0.0) & (ev.code >= 0) & (ev.code < len(_CHANNELS)))
+        if not ok.all():
+            i = int(ok.argmin())
+            code, t, d, lv = (col[i].item() for col in (ev.code, ev.start, ev.duration, ev.level))
+            e = ScheduleEvent(_CHANNELS[code] if 0 <= code < len(_CHANNELS) else code, t, d, lv)
+            raise ScheduleParseError(f"event at t={e.start!r}: {_event_problem(e)}")
+        s, c = ev.start, ev.code  # compared, not subtracted: -1e308 - 1e308 overflows
+        if not ((s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (c[1:] >= c[:-1]))).all():
+            o = np.lexsort((ev.code, ev.start))
+            ev = EventColumns(ev.code[o], ev.start[o], ev.duration[o], ev.level[o])
         object.__setattr__(self, "events", ev)
 
 
@@ -310,13 +305,17 @@ def compile_schedule(
     # event-by-event loop computes.
     delay, pert, on = timing.amzi_delay, timing.perturbation_width, timing.slave_on_time
     offset = (delay - pert) / 2.0
+    steps, offsets = [0, 0, 0, 1, 1, 2], [0, 0, offset, 0, offset, 0]
+    last = (n - 1) * timing.symbol_period  # the last symbol's starts are the largest
+    if not all(math.isfinite(last + k * delay + off) for k, off in zip(steps, offsets)):
+        raise ConfigurationError(f"event times of {n} symbols overflow at this timing")
     t0 = np.arange(n) * timing.symbol_period
-    start = t0[:, None] + np.array([0, 0, 0, 1, 1, 2]) * delay + [0, 0, offset, 0, offset, 0]
+    start = t0[:, None] + np.array(steps) * delay + offsets
     level = np.full((n, 6), DRIVE_LEVEL_V)
     level[:, [2, 4]] = volts[kind]
     code = [_CODES[ch] for ch in (CH_MASTER, CH_SLAVE, CH_PERT, CH_SLAVE, CH_PERT, CH_SLAVE)]
     return WaveformSchedule(timing, EventColumns(
-        _CHANNELS, np.tile(np.array(code, dtype=np.int8), n), start.ravel(),
+        np.tile(np.array(code, dtype=np.int8), n), start.ravel(),
         np.tile([timing.master_on_time, on, pert, on, pert, on], n), level.ravel()))
 
 
@@ -337,10 +336,11 @@ def _event_problem(ev: ScheduleEvent) -> str | None:
 def _perturbation_levels(ev: EventColumns) -> np.ndarray:
     """The perturbation levels in order, or ScheduleParseError naming the first
     event to break a rule of decompile_schedule. Row i of the table `bad` marks
-    the rules event i breaks, in the order they are checked: its fields, no
-    overlap on its channel, the counts of the window its master closes, lying
-    in the latest master's window. Row n, the end of the stream, closes the
-    last window. The first mark in row-major order is the fault."""
+    the rules event i breaks, in the order they are checked (the schedule has
+    checked its fields): no overlap on its channel, the counts of the window its
+    master closes, lying in the latest master's window. Row n, the end of the
+    stream, closes the last window. The first mark in row-major order is the
+    fault."""
     code, start, duration, n = ev.code, ev.start, ev.duration, len(ev)
     if not n:
         raise ScheduleParseError("schedule has no master drive events")
@@ -351,36 +351,30 @@ def _perturbation_levels(ev: EventColumns) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         end = start + duration
         slack = np.fmax(1e-15, 4 * np.spacing(np.abs(end)))
-    bad = np.zeros((n + 1, 4), dtype=bool)
-    bad[:n, 0] = (code >= len(_CHANNELS)) | ~(
-        np.isfinite(start) & np.isfinite(duration) & np.isfinite(ev.level) & (duration > 0.0))
+    bad = np.zeros((n + 1, 3), dtype=bool)
     for c in range(len(_CHANNELS)):
         i = np.flatnonzero(code == c)
-        bad[i[1:], 1] = start[i[1:]] < (end - slack)[i[:-1]]
+        bad[i[1:], 0] = start[i[1:]] < (end - slack)[i[:-1]]
     masters = np.flatnonzero(code == 0)
-    window = np.cumsum(code == 0) - 1  # the latest master at or before each event
-    known = (window >= 0) & (code < len(_CHANNELS))  # an unknown code is a field fault
-    counts = np.bincount(window[known] * 3 + code[known], minlength=3 * len(masters))
-    counts = counts.reshape(-1, 3)  # per window: a master, perturbations, slaves
+    window = np.cumsum(code == 0)  # 1 + the latest master at or before each event
+    # Per window: a master, perturbations, slaves; window 0, before any master, is dropped.
+    counts = np.bincount(window * 3 + code, minlength=3 * len(masters) + 3)[3:].reshape(-1, 3)
     miscounted = (counts[:, 1] != 2) | (counts[:, 2] != 3)
-    bad[np.append(masters, n)[1:][miscounted], 2] = True
-    bad[:n, 3] = (code != 0) & (end > np.append((end + slack)[masters], -np.inf)[window])
-    row, rule = divmod(int(bad.argmax()), 4)
+    bad[np.append(masters, n)[1:][miscounted], 1] = True
+    bad[:n, 2] = (code != 0) & (end > np.append(-np.inf, (end + slack)[masters])[window])
+    row, rule = divmod(int(bad.argmax()), 3)
     if not bad[row, rule]:
         return ev.level[code == 1]
-    if rule == 2:
+    if rule == 1:
         w = miscounted.argmax()
         want, what = (2, "perturbation") if counts[w, 1] != 2 else (3, "slave-drive")
         raise ScheduleParseError(
             f"expected {want} {what} events in master window at t={float(start[masters[w]])}, "
             f"found {counts[w, want - 1]}")
-    e = ScheduleEvent(ev.names[code[row]], *map(float, (start[row], duration[row], ev.level[row])))
+    channel, t = _CHANNELS[code[row]], float(start[row])
     if rule == 0:
-        raise ScheduleParseError(f"event at t={e.start!r}: {_event_problem(e)}")
-    if rule == 1:
-        raise ScheduleParseError(f"overlapping events on channel {e.channel} at t={e.start}")
-    raise ScheduleParseError(
-        f"{e.channel} event at t={e.start!r} lies outside every master window")
+        raise ScheduleParseError(f"overlapping events on channel {channel} at t={t}")
+    raise ScheduleParseError(f"{channel} event at t={t!r} lies outside every master window")
 
 
 def decompile_schedule(
@@ -391,10 +385,10 @@ def decompile_schedule(
     Accepts schedules produced by compile_schedule or hand-written with the
     same conventions: every master window [start, start + duration] holds
     exactly two perturbations and three slave-drive pulses, and no
-    perturbation or slave pulse lies outside every master window. Non-finite
-    fields, non-positive durations, unknown channels, malformed event counts
-    and overlaps raise ScheduleParseError, as does a timing that differs from
-    the one the schedule carries.
+    perturbation or slave pulse lies outside every master window. Malformed
+    event counts and overlaps raise ScheduleParseError, as does a timing that
+    differs from the one the schedule carries; the schedule itself holds only
+    events with known channels, finite fields and positive durations.
 
     In canonical (start, channel) order a master opens a window, and every
     other event must end inside the window of the latest master: a master
@@ -415,7 +409,7 @@ def decompile_schedule(
 
 # --- serialization -----------------------------------------------------------
 
-def _row_pieces(ev: EventColumns, head, tail, starts: list[str] | None = None) -> list[str]:
+def _row_pieces(ev: EventColumns, head, tail) -> list[str]:
     """head(channel), start and tail(channel, duration, level) for every event,
     to be joined. head and tail are made once per distinct (channel, duration,
     level), told apart by their bits so that -0.0 is not 0.0. That grouping
@@ -431,11 +425,11 @@ def _row_pieces(ev: EventColumns, head, tail, starts: list[str] | None = None) -
         key[order] = np.cumsum(new) - 1
         ev._text_parts = (list(map(repr, ev.start.tolist())), order[new], key.tolist())
     reprs, first, key = ev._text_parts
-    names = [ev.names[c] for c in ev.code[first].tolist()]
+    names = [_CHANNELS[c] for c in ev.code[first].tolist()]
     heads = list(map(head, names))
     tails = list(map(tail, names, ev.duration[first].tolist(), ev.level[first].tolist()))
     return list(chain.from_iterable(
-        zip(map(heads.__getitem__, key), starts or reprs, map(tails.__getitem__, key))))
+        zip(map(heads.__getitem__, key), reprs, map(tails.__getitem__, key))))
 
 
 def schedule_to_text(sched: WaveformSchedule) -> str:
@@ -480,8 +474,7 @@ def _columns(lines: list[str]) -> tuple[np.ndarray, ...]:
     # tokens begins a line, so every line holds four tokens.
     heads = list(map(str.lstrip, lines))
     named = sum(map(str.startswith, heads, repeat(_CHANNELS)))
-    if len(flat) != 4 * n or not n == named == len(lines) - heads.count("") or not (
-            np.isfinite(start) & np.isfinite(duration) & np.isfinite(level) & (duration > 0.0)).all():
+    if len(flat) != 4 * n or not n == named == len(lines) - heads.count(""):
         raise ValueError("bad event line")
     return code, start, duration, level
 
@@ -515,10 +508,9 @@ def schedule_from_text(text: str) -> WaveformSchedule:
     body = lines[first + 1:]
     try:  # in blocks of lines, to bound the memory the split tokens take
         blocks = [_columns(body[i:i + 4096]) for i in range(0, max(len(body), 1), 4096)]
-    except (KeyError, ValueError):
+        return WaveformSchedule(timing, EventColumns(*map(np.concatenate, zip(*blocks))))
+    except (KeyError, ValueError):  # ScheduleParseError is a ValueError
         _raise_first_bad_line(lines, first + 1)
-    cols = (np.concatenate(col) for col in zip(*blocks))
-    return WaveformSchedule(timing, EventColumns(_CHANNELS, *cols))
 
 
 def schedule_to_json(sched: WaveformSchedule) -> str:
@@ -537,8 +529,7 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
     items = _row_pieces(
         ev, lambda ch: f'{{\n      "channel": {json.dumps(ch)},\n      "start_s": ',
         lambda ch, d, lv: f',\n      "duration_s": {json.dumps(d)},'
-                          f'\n      "level_v": {json.dumps(lv)}\n    }},\n    ',
-        None if np.isfinite(ev.start).all() else list(map(json.dumps, ev.start.tolist())))
+                          f'\n      "level_v": {json.dumps(lv)}\n    }},\n    ')
     items[-1] = items[-1][:-6]  # the last item gives up its separator ',\n    '
     # head ends with the empty list and the closing brace: '[]\n}'.
     return "".join([head[:-4], "[\n    ", *items, "\n  ]\n}\n"])

@@ -153,7 +153,7 @@ def default_sweep():
 
 def test_criterion_4a_qber_floor(default_sweep):
     points, _ = default_sweep
-    low = [p.qber for p in points if p.loss_db <= 10.0]
+    low = [p.breakdown.e_mu for p in points if p.loss_db <= 10.0]
     ok = len(low) == 11 and all(abs(q - 0.033) <= 0.003 for q in low)
     _report(
         ok,

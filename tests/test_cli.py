@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,21 @@ class TestEncode:
             expected.append(f"{symbol_token(sym)} {float(pair.phi12)!r} {float(pair.phi23)!r}")
         expected.append(f"wrote {tmp_path / 'schedule.txt'} and schedule.json (4096 symbols)")
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_event_times_that_overflow_are_usage_error(self, tmp_path, capsys):
+        # Symbols 18 and 19 of a 1e307 s period start past the largest float.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("master_rate_hz = 1e-307\nmaster_on_time_s = 1e307\n"
+                       "slave_on_time_s = 1e306\nperturbation_width_s = 1e306\n")
+        stream = tmp_path / "stream.txt"
+        stream.write_text("Z0s " * 20 + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("--config", str(cfg), "--out", str(out), "encode", str(stream))
+        assert code == EXIT_USAGE and caught == []
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_stream_is_usage_error(self, tmp_path, capsys):
         stream = tmp_path / "stream.txt"
@@ -277,6 +293,23 @@ class TestFlags:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"],
+                                      ["encode", "-h"], ["--seed", "1", "mc", "--help"]])
+    def test_help_returns_zero(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: dmqkd")
+
+    def test_bad_z_mix_fails_every_command(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("z_mix_signal = -1.0\nz_mix_decoy = nan\n")
+        stream = tmp_path / "stream.txt"
+        stream.write_text("Z0s Y1s\n")
+        out = tmp_path / "out"
+        for argv in (["sweep"], ["verify"], ["encode", str(stream)], ["mc"]):
+            assert run("--config", str(cfg), "--out", str(out), *argv) == EXIT_USAGE
+            assert "z_mix must be three nonnegative fractions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand(self):
         assert run("frobnicate") == EXIT_USAGE
 
@@ -336,6 +369,9 @@ class TestExtremeConfigs:
         assert run(*base, "--loss-max", repr(loss_max), "--loss-step", repr(loss_step),
                    "sweep") in range(4)
         assert run(*base, "--frames", "10000", "mc") in range(4)
+        stream = out / "stream.txt"
+        stream.write_text("Z0s Y1s Z0d Z1v\n")
+        assert run(*base, "encode", str(stream)) in range(4)
 
 
 # Keys and values for config files of any shape. The sweep_* keys are left out
@@ -381,8 +417,7 @@ class TestConfigBytes:
 
 
 # Flags and the values drawn for them. "{cfg}", "{stream}", "{defaults}" and
-# "{missing}" stand for files in the example's directory. --help is left out:
-# argparse ends it with SystemExit(0), as a command line expects.
+# "{missing}" stand for files in the example's directory.
 _ARGV_FLAGS = {
     "--frames": ["0", "1", "10000", "100000", "-1", "1e5", "nan"],
     "--seed": ["0", "-1", str(2**63 - 1), str(-(2**63)), str(2**63), str(2**64), "x"],
@@ -406,7 +441,8 @@ _ARGV_COMMANDS = {
 @st.composite
 def _argvs(draw):
     """Flags (known and unknown, values missing, repeated or stray), then
-    maybe a subcommand with or without its argument, then maybe more flags."""
+    maybe a subcommand with or without its argument, then maybe more flags;
+    sometimes --help or -h at any position."""
 
     def flags(most):
         argv = []
@@ -426,7 +462,10 @@ def _argvs(draw):
         argv.append(command)
         if _ARGV_COMMANDS[command]:
             argv += draw(st.lists(st.sampled_from(_ARGV_COMMANDS[command]), max_size=1))
-    return argv + (flags(1) if draw(st.integers(0, 3)) == 0 else [])
+    argv += flags(1) if draw(st.integers(0, 3)) == 0 else []
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--help", "-h"])))
+    return argv
 
 
 class TestArgv:

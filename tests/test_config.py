@@ -174,7 +174,7 @@ def valid_flats(draw):
         "master_on_time_s": period * draw(st.floats(0.9, 1.0)),
         "slave_on_time_s": period / 3.0 * draw(st.floats(0.01, 0.2)),
         "v_pi": draw(st.floats(0.1, 5.0)),
-        "z_mix_signal": draw(unit),
+        "z_mix_signal": draw(st.floats(0.0, 1.0, exclude_min=True)),  # a positive total
         "z_mix_decoy": draw(unit),
         "z_mix_vacuum": draw(unit),
         "sweep_min_db": sweep_min,
