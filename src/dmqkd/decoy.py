@@ -10,7 +10,7 @@ the true single-photon statistics of an honest channel.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     ConfigurationError,
@@ -19,11 +19,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .linksim import (
-    DecoyIntensities,
-    GainQber,
-    LinkParams,
-    signal_click_probs,
-    with_loss,
+    DecoyIntensities, GainQber, LinkParams, _check_loss_db, _clicks, _eta, _y1_denominator
 )
 
 
@@ -40,13 +36,37 @@ class RateBreakdown(NamedTuple):
     r_bps: float
 
 
+class SweepPoint(NamedTuple):
+    loss_db: float
+    breakdown: RateBreakdown
+
+
+# The bound formulas take the exponentials and intensity differences as
+# arguments, which a sweep computes once; the public bound_* check their inputs.
+def _h2(x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _y0_l(q_nu, q_omega, nu, omega, exp_nu, exp_omega, nu_omega):
+    return max((nu * q_omega * exp_omega - omega * q_nu * exp_nu) / nu_omega, 0.0)
+
+
+def _y1_l(q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_omega2_mu2):
+    y1 = q_nu * exp_nu - q_omega * exp_omega - nu2_omega2_mu2 * (q_mu * exp_mu - y0_l)
+    return min(max(mu_denom * y1, 0.0), 1.0)
+
+
+def _e1_u(eq_nu, eq_omega, y1_l, exp_nu, exp_omega, nu_omega):
+    return min(max((eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l), 0.0), 0.5)
+
+
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
     if not (0.0 <= x <= 1.0):
         raise ConfigurationError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _h2(x)
 
 
 def bound_y0(q_nu: float, q_omega: float, nu: float, omega: float) -> float:
@@ -56,8 +76,7 @@ def bound_y0(q_nu: float, q_omega: float, nu: float, omega: float) -> float:
     """
     if not nu > omega >= 0.0:
         raise DegenerateDecoyError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
-    y0 = (nu * q_omega * math.exp(omega) - omega * q_nu * math.exp(nu)) / (nu - omega)
-    return max(y0, 0.0)
+    return _y0_l(q_nu, q_omega, nu, omega, math.exp(nu), math.exp(omega), nu - omega)
 
 
 def bound_y1(
@@ -70,17 +89,15 @@ def bound_y1(
     y0_l: float,
 ) -> float:
     """Lower bound on the single-photon yield, clamped to [0, 1]."""
-    denom = mu * nu - mu * omega - nu * nu + omega * omega
+    denom = _y1_denominator(mu, nu, omega)
     if denom <= 0.0:
         raise ConfigurationError(
             "decoy intensities violate mu > nu > omega and nu + omega < mu"
         )
-    y1 = (mu / denom) * (
-        q_nu * math.exp(nu)
-        - q_omega * math.exp(omega)
-        - ((nu * nu - omega * omega) / (mu * mu)) * (q_mu * math.exp(mu) - y0_l)
+    return _y1_l(
+        q_mu, q_nu, q_omega, y0_l, math.exp(mu), math.exp(nu), math.exp(omega),
+        mu / denom, (nu * nu - omega * omega) / (mu * mu),
     )
-    return min(max(y1, 0.0), 1.0)
 
 
 def bound_e1(
@@ -96,16 +113,41 @@ def bound_e1(
         raise DegenerateDecoyError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
     if y1_l <= 0.0:
         raise UndefinedBoundError("e1 bound undefined for y1_l = 0")
-    e1 = (eq_nu * math.exp(nu) - eq_omega * math.exp(omega)) / ((nu - omega) * y1_l)
-    return min(max(e1, 0.0), 0.5)
+    return _e1_u(eq_nu, eq_omega, y1_l, math.exp(nu), math.exp(omega), nu - omega)
+
+
+def _rate_of_gains(params: LinkParams, intens: DecoyIntensities) -> Callable[..., RateBreakdown]:
+    """secure_key_rate of the six (mu, nu, omega) gains and QBERs, with every
+    factor that depends only on params and intens computed once. A valid
+    DecoyIntensities meets the bounds' conditions on the intensities."""
+    mu, nu, omega = intens.mu, intens.nu, intens.omega
+    exp_mu, exp_nu, exp_omega, exp_neg_mu = map(math.exp, (mu, nu, omega, -mu))
+    nu_omega, mu_denom = nu - omega, mu / _y1_denominator(mu, nu, omega)
+    nu2_omega2_mu2 = (nu * nu - omega * omega) / (mu * mu)
+    q_sift = params.p_y_alice * params.p_y_bob
+    f_ec, clock, y_receiver_factor = params.f_ec, params.clock, params.y_receiver_factor
+    new = tuple.__new__
+
+    def rate(q_mu, e_mu, q_nu, e_nu, q_omega, e_omega):
+        y0_l = _y0_l(q_nu, q_omega, nu, omega, exp_nu, exp_omega, nu_omega)
+        y1_l = _y1_l(
+            q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_omega2_mu2
+        )
+        e1_u = (
+            _e1_u(e_nu * q_nu, e_omega * q_omega, y1_l, exp_nu, exp_omega, nu_omega)
+            if y1_l > 0.0 else 0.5
+        )
+        q1_l = y1_l * mu * exp_neg_mu
+        r_per_pulse = q_sift * max(0.0, -q_mu * f_ec * _h2(e_mu) + q1_l * (1.0 - _h2(e1_u)))
+        r_bps = r_per_pulse * clock * y_receiver_factor
+        return new(RateBreakdown, (q_mu, e_mu, y0_l, y1_l, e1_u, q1_l, r_per_pulse, r_bps))
+
+    return rate
 
 
 def secure_key_rate(
-    mu_gain: GainQber,
-    nu_gain: GainQber,
-    omega_gain: GainQber,
-    params: LinkParams,
-    intens: DecoyIntensities,
+    mu_gain: GainQber, nu_gain: GainQber, omega_gain: GainQber,
+    params: LinkParams, intens: DecoyIntensities,
 ) -> RateBreakdown:
     """Secure key rate from measured/analytic per-class gains and QBERs.
 
@@ -114,29 +156,16 @@ def secure_key_rate(
     r_bps additionally carries the symbol clock and the Y-receiver efficiency
     factor (which is not part of the gains handed in here).
     """
-    y0_l = bound_y0(nu_gain.q, omega_gain.q, intens.nu, intens.omega)
-    y1_l = bound_y1(
-        mu_gain.q, nu_gain.q, omega_gain.q, intens.mu, intens.nu, intens.omega, y0_l
+    return _rate_of_gains(params, intens)(
+        mu_gain.q, mu_gain.e, nu_gain.q, nu_gain.e, omega_gain.q, omega_gain.e
     )
-    if y1_l > 0.0:
-        e1_u = bound_e1(
-            nu_gain.e * nu_gain.q,
-            omega_gain.e * omega_gain.q,
-            intens.nu,
-            intens.omega,
-            y1_l,
-        )
-    else:
-        e1_u = 0.5
-    q1_l = y1_l * intens.mu * math.exp(-intens.mu)
-    q_sift = params.p_y_alice * params.p_y_bob
-    r_per_pulse = q_sift * max(
-        0.0,
-        -mu_gain.q * params.f_ec * binary_entropy(mu_gain.e)
-        + q1_l * (1.0 - binary_entropy(e1_u)),
-    )
-    r_bps = r_per_pulse * params.clock * params.y_receiver_factor
-    return RateBreakdown(mu_gain.q, mu_gain.e, y0_l, y1_l, e1_u, q1_l, r_per_pulse, r_bps)
+
+
+def _gain_qber(y0: float, e_det: float, sig: float) -> tuple[float, float]:
+    q = y0 + sig  # >= 0, and 0 only on a dead channel
+    if q > 1.0:
+        raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
+    return q, (min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5)
 
 
 def analytic_class_gains(
@@ -148,31 +177,37 @@ def analytic_class_gains(
     The linearized Q exceeds 1 when a bright pulse meets dark counts, which
     raises ModelValidityError."""
     y0, e_det = params.y0, params.e_det
-    _, mu, nu, omega = signal_click_probs(params, intens)  # STATE_ROWS order
-    gains = []
-    for sig in (mu, nu, omega):
-        q = y0 + sig  # >= 0, and 0 only on a dead channel
-        if q > 1.0:
-            raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-        # q and e lie in [0, 1] here, so GainQber's range check is skipped.
-        g = object.__new__(GainQber)
-        g.__dict__.update(q=q, e=min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5)
-        gains.append(g)
-    return tuple(gains)
+    clicks = _clicks(params.eta, intens.mu, intens.nu, intens.omega)
+    return tuple(GainQber(*_gain_qber(y0, e_det, sig)) for sig in clicks)
+
+
+def _sweep(losses: list[float], params: LinkParams, intens: DecoyIntensities) -> list[SweepPoint]:
+    """analytic_class_gains and secure_key_rate at each of a nondecreasing list
+    of losses, with the same results and the same first error; each point
+    computes only eta, the clicks, the gains, the bounds and the rate."""
+    if not losses:
+        return []
+    _check_loss_db(losses[0])  # only leading losses can be negative
+    y0, e_det, det_efficiency = params.y0, params.e_det, params.det_efficiency
+    mu, nu, omega = intens.mu, intens.nu, intens.omega
+    rate, new, points = _rate_of_gains(params, intens), tuple.__new__, []
+    for loss in losses:
+        c_mu, c_nu, c_omega = _clicks(_eta(det_efficiency, loss), mu, nu, omega)
+        q_mu, e_mu = _gain_qber(y0, e_det, c_mu)
+        q_nu, e_nu = _gain_qber(y0, e_det, c_nu)
+        q_omega, e_omega = _gain_qber(y0, e_det, c_omega)
+        points.append(new(SweepPoint, (loss, rate(q_mu, e_mu, q_nu, e_nu, q_omega, e_omega))))
+    # Only the last loss can overflow to inf, where eta = 0 raises nothing, so
+    # checking it after the loop keeps the point-by-point order of errors.
+    _check_loss_db(losses[-1])
+    return points
 
 
 def rate_at_loss(
     loss_db: float, params: LinkParams, intens: DecoyIntensities
 ) -> RateBreakdown:
     """Full analytic pipeline at one channel-loss point."""
-    at = with_loss(params, loss_db)
-    mu_g, nu_g, om_g = analytic_class_gains(at, intens)
-    return secure_key_rate(mu_g, nu_g, om_g, at, intens)
-
-
-class SweepPoint(NamedTuple):
-    loss_db: float
-    breakdown: RateBreakdown
+    return _sweep([loss_db], params, intens)[0].breakdown
 
 
 # Most points a sweep may hold.
@@ -200,21 +235,16 @@ def sweep_point_count(loss_min: float, loss_max: float, step: float) -> int:
 
 
 def sweep_loss(
-    loss_min: float,
-    loss_max: float,
-    step: float,
-    params: LinkParams,
-    intens: DecoyIntensities,
+    loss_min: float, loss_max: float, step: float, params: LinkParams, intens: DecoyIntensities
 ) -> list[SweepPoint]:
     """Evaluate the analytic rate over a loss range (inclusive of both ends)."""
-    losses = [loss_min + i * step for i in range(sweep_point_count(loss_min, loss_max, step))]
-    return [SweepPoint(loss, rate_at_loss(loss, params, intens)) for loss in losses]
+    n = sweep_point_count(loss_min, loss_max, step)
+    return _sweep([loss_min + i * step for i in range(n)], params, intens)
 
 
 def cutoff_loss(points: Iterable[SweepPoint]) -> float | None:
     """Largest swept loss with a positive key rate, or None."""
-    positive = [p.loss_db for p in points if p.breakdown.r_bps > 0.0]
-    return max(positive) if positive else None
+    return max((p.loss_db for p in points if p.breakdown.r_bps > 0.0), default=None)
 
 
 SWEEP_CSV_HEADER = "loss_db,q_mu,e_mu,y1_l,e1_u,r_per_pulse,r_bps"

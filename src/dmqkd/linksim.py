@@ -3,10 +3,10 @@
 The channel is a flat attenuator; detection of a mean-photon-number lambda
 pulse train is Poissonian with click probability 1 - e^(-eta*lambda). Dark
 counts are linearized over the detection window. The link model is defined
-once: LinkParams.eta, LinkParams.y0 and signal_click_probs feed the sampler,
-its expected gains/QBERs and decoy.analytic_class_gains alike. Bob chooses
-his basis passively with a beamsplitter; only basis-matched (sifted) frames
-are tallied.
+once: LinkParams.y0, _eta (LinkParams.eta) and _clicks (signal_click_probs)
+feed the sampler, its expected gains/QBERs and decoy's gains and sweep alike.
+Bob chooses his basis passively with a beamsplitter; only basis-matched
+(sifted) frames are tallied.
 
 The Y-basis receiver interferes the time bins in a second AMZI and measures a
 single output pulse, which costs a constant efficiency factor
@@ -40,6 +40,20 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 def _check_loss_db(loss_db: float) -> None:
     if not (math.isfinite(loss_db) and loss_db >= 0.0):
         raise ConfigurationError(f"loss_db must be >= 0, got {loss_db!r}")
+
+
+def _eta(det_efficiency: float, loss_db: float) -> float:
+    return det_efficiency * 10.0 ** (-loss_db / 10.0)
+
+
+def _clicks(eta: float, mu: float, nu: float, omega: float) -> tuple[float, float, float]:
+    """Click probabilities 1 - e^(-eta*lambda) at lambda = mu, nu and omega."""
+    return 1.0 - math.exp(-eta * mu), 1.0 - math.exp(-eta * nu), 1.0 - math.exp(-eta * omega)
+
+
+def _y1_denominator(mu: float, nu: float, omega: float) -> float:
+    """The two-decoy Y1 bound's denominator, (nu - omega)(mu - nu - omega)."""
+    return mu * nu - mu * omega - nu * nu + omega * omega
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,7 @@ class LinkParams:
     @property
     def eta(self) -> float:
         """Overall photon survival probability: detector efficiency times channel."""
-        return self.det_efficiency * 10.0 ** (-self.loss_db / 10.0)
+        return _eta(self.det_efficiency, self.loss_db)
 
     @property
     def y0(self) -> float:
@@ -111,6 +125,13 @@ class DecoyIntensities:
         # The decoy bounds take e^mu, which overflows above ln(DBL_MAX).
         if self.mu > math.log(sys.float_info.max):
             raise ConfigurationError(f"mu must be <= ln(DBL_MAX) = 709.78, got {self.mu!r}")
+        # nu + omega < mu can hold while the rounded denominator is <= 0.
+        denom = _y1_denominator(self.mu, self.nu, self.omega)
+        if not denom > 0.0:
+            raise ConfigurationError(
+                "Y1 bound denominator mu*nu - mu*omega - nu*nu + omega*omega must be > 0, "
+                f"got {denom!r} (mu={self.mu!r}, nu={self.nu!r}, omega={self.omega!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,10 +200,8 @@ def signal_click_probs(
 ) -> tuple[float, float, float, float]:
     """Per-row probability that the pulse itself (not a dark count) clicks,
     in STATE_ROWS order; the Y-basis row carries the receiver factor."""
-    eta = params.eta
-    mu = 1.0 - math.exp(-eta * intens.mu)
-    return (params.y_receiver_factor * mu, mu, 1.0 - math.exp(-eta * intens.nu),
-            1.0 - math.exp(-eta * intens.omega))
+    mu, nu, omega = _clicks(params.eta, intens.mu, intens.nu, intens.omega)
+    return params.y_receiver_factor * mu, mu, nu, omega
 
 
 def expected_row_stats(

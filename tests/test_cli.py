@@ -147,6 +147,17 @@ class TestSweep:
         assert "ln(DBL_MAX)" in capsys.readouterr().err
         assert not (tmp_path / "mc_report.json").exists()
 
+    def test_intensities_whose_y1_denominator_rounds_to_zero_fail_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("mu = 0.6024124315095266\nnu = 0.29027758371436535\n"
+                       "omega = 0.2902775837143647\n")
+        base = ("--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert run(*base, "sweep") == EXIT_USAGE
+        assert run(*base, "--frames", "20000", "mc") == EXIT_USAGE
+        assert run(*base, "write-defaults", str(tmp_path / "d.txt")) == EXIT_USAGE
+        assert capsys.readouterr().err.count("Y1 bound denominator") == 3
+        assert not (tmp_path / "out").exists() and not (tmp_path / "d.txt").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [("--loss-step", "1e-300"), ("--loss-max", "1e308", "--loss-step", "1")],

@@ -65,6 +65,14 @@ class TestFlatRoundTrip:
         with pytest.raises(ConfigurationError, match="clock"):
             RunConfig(timing=TimingParams(master_rate=5e8, master_on_time=1.8e-9))
 
+    def test_intensities_whose_y1_denominator_rounds_to_zero_rejected(self):
+        # mu > nu > omega and nu + omega < mu hold, but the rounded
+        # mu*nu - mu*omega - nu*nu + omega*omega is 0.0.
+        flat = {"mu": 0.6024124315095266, "nu": 0.29027758371436535, "omega": 0.2902775837143647}
+        assert flat["nu"] + flat["omega"] < flat["mu"]
+        with pytest.raises(ConfigurationError, match=r"denominator .* must be > 0, got 0\.0"):
+            config_from_flat(flat)
+
     @pytest.mark.parametrize(
         "key", ["slave_rate_hz", "amzi_delay_s", "perturbation_separation_s"]
     )

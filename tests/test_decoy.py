@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import pytest
@@ -26,6 +27,7 @@ from dmqkd.decoy import (
 from dmqkd.errors import (
     ConfigurationError,
     DegenerateDecoyError,
+    DmqkdError,
     ModelValidityError,
     UndefinedBoundError,
 )
@@ -334,3 +336,61 @@ def test_rate_matches_the_dataclass_oracle_bit_for_bit(params, e_det, intens, lo
     gains = _oracle_class_gains(at, intens)
     assert repr(rate_at_loss(loss_db, params, intens)) == repr(_oracle_rate(*gains, at, intens))
     assert repr(analytic_class_gains(at, intens)) == repr(gains)
+
+
+def _oracle_sweep(loss_min, loss_max, step, params, intens):
+    """The sweep point by point through with_loss and the oracles above."""
+    points = []
+    for i in range(sweep_point_count(loss_min, loss_max, step)):
+        loss = loss_min + i * step
+        at = with_loss(params, loss)
+        points.append(SweepPoint(loss, _oracle_rate(*_oracle_class_gains(at, intens), at, intens)))
+    return points
+
+
+def _outcome(sweep, *args):
+    """repr of the sweep's points, or the type and message of what it raised."""
+    try:
+        return repr(sweep(*args))
+    except DmqkdError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    honest_links, unit_floats, decoy_intensities(), st.floats(0.0, 80.0),
+    st.floats(1e-3, 5.0), st.floats(-1.0, 49.5),
+)
+def test_sweep_matches_the_point_by_point_oracle(params, e_det, intens, loss_min, step, steps):
+    params = replace(params, e_det=e_det)
+    args = (loss_min, loss_min + steps * step, step, params, intens)
+    assert _outcome(sweep_loss, *args) == _outcome(_oracle_sweep, *args)
+
+
+_DBL_MAX = sys.float_info.max
+_Q_ABOVE_ONE = DecoyIntensities(40.0, 1.0, 0.0)  # Q > 1 at 0 dB
+
+
+@pytest.mark.parametrize(
+    "loss_min,loss_max,step,params,intens",
+    [
+        (-1.0, 1.0, 0.5, LinkParams(), DecoyIntensities()),
+        (-1.0, 1.0, 0.5, LinkParams(dark_rate=1e9), DecoyIntensities()),
+        (0.0, 0.0, 1.0, LinkParams(), _Q_ABOVE_ONE),
+        (0.0, 10.0, 1.0, LinkParams(dark_rate=1e9), DecoyIntensities()),
+        # The last of four points, 3 * step, overflows to inf.
+        (0.0, _DBL_MAX, 5.992310449541053e307, LinkParams(), DecoyIntensities()),
+        (0.0, _DBL_MAX, 5.992310449541053e307, LinkParams(), _Q_ABOVE_ONE),
+    ],
+    ids=["negative-loss", "negative-loss-before-dark", "gain-above-one", "dark",
+         "last-loss-inf", "gain-above-one-before-last-loss-inf"],
+)
+def test_sweep_raises_what_the_oracle_raises(loss_min, loss_max, step, params, intens):
+    args = (loss_min, loss_max, step, params, intens)
+    expected = _outcome(_oracle_sweep, *args)
+    assert isinstance(expected, tuple)
+    assert _outcome(sweep_loss, *args) == expected
+
+
+def test_empty_sweep_reads_no_dark_probability():
+    assert sweep_loss(20.0, 10.0, 1.0, LinkParams(dark_rate=1e9), DecoyIntensities()) == []
