@@ -88,12 +88,9 @@ def bound_y1(
     omega: float,
     y0_l: float,
 ) -> float:
-    """Lower bound on the single-photon yield, clamped to [0, 1]."""
+    """Lower bound on the single-photon yield, clamped to [0, 1]; intensities
+    whose Y1 denominator rounds to <= 0 raise what DecoyIntensities raises."""
     denom = _y1_denominator(mu, nu, omega)
-    if denom <= 0.0:
-        raise ConfigurationError(
-            "decoy intensities violate mu > nu > omega and nu + omega < mu"
-        )
     return _y1_l(
         q_mu, q_nu, q_omega, y0_l, math.exp(mu), math.exp(nu), math.exp(omega),
         mu / denom, (nu * nu - omega * omega) / (mu * mu),
@@ -187,7 +184,9 @@ def _sweep(losses: list[float], params: LinkParams, intens: DecoyIntensities) ->
     computes only eta, the clicks, the gains, the bounds and the rate."""
     if not losses:
         return []
-    _check_loss_db(losses[0])  # only leading losses can be negative
+    # Only leading losses can be negative, and sweep_point_count keeps the
+    # last one finite.
+    _check_loss_db(losses[0])
     y0, e_det, det_efficiency = params.y0, params.e_det, params.det_efficiency
     mu, nu, omega = intens.mu, intens.nu, intens.omega
     rate, new, points = _rate_of_gains(params, intens), tuple.__new__, []
@@ -197,9 +196,6 @@ def _sweep(losses: list[float], params: LinkParams, intens: DecoyIntensities) ->
         q_nu, e_nu = _gain_qber(y0, e_det, c_nu)
         q_omega, e_omega = _gain_qber(y0, e_det, c_omega)
         points.append(new(SweepPoint, (loss, rate(q_mu, e_mu, q_nu, e_nu, q_omega, e_omega))))
-    # Only the last loss can overflow to inf, where eta = 0 raises nothing, so
-    # checking it after the loop keeps the point-by-point order of errors.
-    _check_loss_db(losses[-1])
     return points
 
 
@@ -216,8 +212,9 @@ MAX_SWEEP_POINTS = 1_000_000
 
 def sweep_point_count(loss_min: float, loss_max: float, step: float) -> int:
     """Points of the inclusive sweep, floor((max - min) / step + 1e-9) + 1, or
-    0 when min > max. A non-finite bound or step, a step <= 0 or more than
-    MAX_SWEEP_POINTS points is a ConfigurationError."""
+    0 when min > max. A non-finite bound or step, a step <= 0, more than
+    MAX_SWEEP_POINTS points or a last point min + (n - 1) * step that
+    overflows is a ConfigurationError."""
     if not (math.isfinite(step) and step > 0.0):
         raise ConfigurationError(f"loss step must be > 0, got {step!r}")
     if not (math.isfinite(loss_min) and math.isfinite(loss_max)):
@@ -231,7 +228,13 @@ def sweep_point_count(loss_min: float, loss_max: float, step: float) -> int:
             f"sweep {loss_min!r}..{loss_max!r} dB in steps of {step!r} dB has more "
             f"than {MAX_SWEEP_POINTS} points"
         )
-    return int(math.floor(span)) + 1
+    n = int(math.floor(span)) + 1
+    if not math.isfinite(loss_min + (n - 1) * step):
+        raise ConfigurationError(
+            f"sweep {loss_min!r}..{loss_max!r} dB in steps of {step!r} dB has a last "
+            f"point, {loss_min!r} + {n - 1} * {step!r} dB, that overflows to inf"
+        )
+    return n
 
 
 def sweep_loss(

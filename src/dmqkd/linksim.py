@@ -18,7 +18,9 @@ error parameter e_det.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -52,8 +54,15 @@ def _clicks(eta: float, mu: float, nu: float, omega: float) -> tuple[float, floa
 
 
 def _y1_denominator(mu: float, nu: float, omega: float) -> float:
-    """The two-decoy Y1 bound's denominator, (nu - omega)(mu - nu - omega)."""
-    return mu * nu - mu * omega - nu * nu + omega * omega
+    """The two-decoy Y1 bound's denominator, (nu - omega)(mu - nu - omega);
+    one that rounds to <= 0 is a ConfigurationError."""
+    denom = mu * nu - mu * omega - nu * nu + omega * omega
+    if not denom > 0.0:
+        raise ConfigurationError(
+            "Y1 bound denominator mu*nu - mu*omega - nu*nu + omega*omega must be > 0, "
+            f"got {denom!r} (mu={mu!r}, nu={nu!r}, omega={omega!r})"
+        )
+    return denom
 
 
 @dataclass(frozen=True)
@@ -126,12 +135,7 @@ class DecoyIntensities:
         if self.mu > math.log(sys.float_info.max):
             raise ConfigurationError(f"mu must be <= ln(DBL_MAX) = 709.78, got {self.mu!r}")
         # nu + omega < mu can hold while the rounded denominator is <= 0.
-        denom = _y1_denominator(self.mu, self.nu, self.omega)
-        if not denom > 0.0:
-            raise ConfigurationError(
-                "Y1 bound denominator mu*nu - mu*omega - nu*nu + omega*omega must be > 0, "
-                f"got {denom!r} (mu={self.mu!r}, nu={self.nu!r}, omega={self.omega!r})"
-            )
+        _y1_denominator(self.mu, self.nu, self.omega)
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,9 @@ def simulate_frames_mc(
     depends only on the seed and its index. The draws of a block and their
     order and sizes are fixed: the state uniforms, Bob's basis uniforms, one
     signal-click and one dark-click uniform per sifted frame, then one error
-    uniform per detection.
+    uniform per detection. The blocks are shared out over one thread per CPU
+    this process may use; the tallies are integer sums of the blocks' counts,
+    so they do not depend on the number of threads.
     """
     if isinstance(n_frames, bool) or not isinstance(n_frames, (int, np.integer)):
         raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
@@ -254,41 +260,82 @@ def simulate_frames_mc(
     y0, e_det, p_y_bob = params.y0, params.e_det, params.p_y_bob
     p_sig = np.array(signal_click_probs(params, intens))
     cum = np.cumsum(probs)
-    # Each draw is consumed by a compare before the next one refills the buffer.
-    buf = np.empty(DEFAULT_BLOCK_SIZE)
-    row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
-    sent = np.zeros(4, dtype=np.int64)
-    # Detections by row + 4 * error.
-    clicks = np.zeros(8, dtype=np.int64)
-    for b, start in enumerate(range(0, n_frames, DEFAULT_BLOCK_SIZE)):
-        n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        u = rng.random(out=buf[:n])
-        # The row index is the number of cum[:3] bounds at or below u, which
-        # is min(searchsorted(cum, u, "right"), 3) since cum is nondecreasing.
-        row = row_buf[:n]
-        np.greater_equal(u, cum[0], out=row)
-        row += u >= cum[1]
-        row += u >= cum[2]
-        # STATE_ROWS[0] is the only Y-basis row; Bob measures Y with p_y_bob.
-        sifted = (row == 0) == (rng.random(out=buf[:n]) < p_y_bob)
-        row_s = np.compress(sifted, row)  # faster than row[sifted] on int8
-        m = row_s.size
-        # Row 0 usually holds most sifted frames: compare all against its click
-        # probability, then redo the frames of the Z-basis rows.
-        z = np.flatnonzero(row_s != 0)
-        u_sig = rng.random(out=buf[:m])
-        sig_click = u_sig < p_sig[0]
-        sig_click[z] = u_sig[z] < p_sig[row_s[z]]
-        dark_click = rng.random(out=buf[:m]) < y0
-        detected = sig_click | dark_click
-        # Dark events (including coincidences with a signal click) are assigned
-        # a random bit; pure signal clicks err with probability e_det.
-        err_p = np.where(dark_click[detected], 0.5, e_det)
-        errors = rng.random(out=buf[:np.count_nonzero(detected)]) < err_p
-        sent += np.bincount(row_s[z], minlength=4)
-        sent[0] += m - z.size
-        clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
+    n_blocks = -(-int(n_frames) // DEFAULT_BLOCK_SIZE)
+    # Set when a worker fails, so that the others stop at their next block.
+    failed = threading.Event()
+
+    def run(first: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tallies of blocks first, first + step, ... as (sent, clicks)."""
+        # Each draw is consumed by a compare before the next one refills the buffer.
+        buf = np.empty(DEFAULT_BLOCK_SIZE)
+        row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
+        sent = np.zeros(4, dtype=np.int64)
+        # Detections by row + 4 * error.
+        clicks = np.zeros(8, dtype=np.int64)
+        for b in range(first, n_blocks, step):
+            if failed.is_set():
+                break
+            start = b * DEFAULT_BLOCK_SIZE
+            n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+            u = rng.random(out=buf[:n])
+            # The row index is the number of cum[:3] bounds at or below u, which
+            # is min(searchsorted(cum, u, "right"), 3) since cum is nondecreasing.
+            row = row_buf[:n]
+            np.greater_equal(u, cum[0], out=row)
+            row += u >= cum[1]
+            row += u >= cum[2]
+            # STATE_ROWS[0] is the only Y-basis row; Bob measures Y with p_y_bob.
+            sifted = (row == 0) == (rng.random(out=buf[:n]) < p_y_bob)
+            row_s = np.compress(sifted, row)  # faster than row[sifted] on int8
+            m = row_s.size
+            # Row 0 usually holds most sifted frames: compare all against its click
+            # probability, then redo the frames of the Z-basis rows.
+            z = np.flatnonzero(row_s != 0)
+            u_sig = rng.random(out=buf[:m])
+            sig_click = u_sig < p_sig[0]
+            sig_click[z] = u_sig[z] < p_sig[row_s[z]]
+            dark_click = rng.random(out=buf[:m]) < y0
+            detected = sig_click | dark_click
+            # Dark events (including coincidences with a signal click) are assigned
+            # a random bit; pure signal clicks err with probability e_det.
+            err_p = np.where(dark_click[detected], 0.5, e_det)
+            errors = rng.random(out=buf[:np.count_nonzero(detected)]) < err_p
+            sent += np.bincount(row_s[z], minlength=4)
+            sent[0] += m - z.size
+            clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
+        return sent, clicks
+
+    # The block body is numpy calls that release the GIL, so the threads run
+    # in parallel. Worker 0 runs in the calling thread.
+    cpus = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    workers = min(cpus, n_blocks)
+    results: list = [None] * workers
+
+    def work(k: int) -> None:
+        try:
+            results[k] = run(k, workers)
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.set()
+            results[k] = exc
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+        work(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    sent = sum(r[0] for r in results)
+    clicks = sum(r[1] for r in results)
 
     tallies = TallyCounts()
     for i, key in enumerate(STATE_ROWS):

@@ -92,7 +92,8 @@ def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
     rbar = float(abs(unit.mean()))
     z = n * rbar * rbar
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
-    return z, min(max(p, 0.0), 1.0)
+    # max(p, 0.0) would keep a p of -0.0.
+    return z, min(max(0.0, p), 1.0)
 
 
 def _mod_two_pi(x: np.ndarray) -> np.ndarray:

@@ -158,6 +158,16 @@ class TestSweep:
         assert capsys.readouterr().err.count("Y1 bound denominator") == 3
         assert not (tmp_path / "out").exists() and not (tmp_path / "d.txt").exists()
 
+    def test_sweep_whose_last_point_overflows_fails_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("sweep_max_db = 1.7976931348623157e308\n"
+                       "sweep_step_db = 5.992310449541053e307\n")
+        assert run("--config", str(cfg), "--out", str(tmp_path / "out"), "sweep") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "has a last point" in err and "overflows to inf" in err
+        assert "loss_db" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [("--loss-step", "1e-300"), ("--loss-max", "1e308", "--loss-step", "1")],

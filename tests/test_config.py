@@ -247,6 +247,13 @@ class TestOverrides:
             with pytest.raises(ConfigurationError, match="points"):
                 SweepSpec(lo, hi, step)
 
+    def test_sweep_whose_last_point_overflows_rejected(self):
+        flat = {"sweep_max_db": 1.7976931348623157e308, "sweep_step_db": 5.992310449541053e307}
+        with pytest.raises(ConfigurationError, match="last point, .* overflows to inf"):
+            config_from_flat(flat)
+        with pytest.raises(ConfigurationError, match="overflows to inf"):
+            SweepSpec(0.0, flat["sweep_max_db"], flat["sweep_step_db"])
+
     def test_frame_cap(self):
         McSpec(n_frames=MIN_MC_FRAMES)
         McSpec(n_frames=MAX_MC_FRAMES)

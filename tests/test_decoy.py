@@ -71,6 +71,20 @@ class TestBounds:
         with pytest.raises(ConfigurationError):
             bound_y1(0.01, 0.005, 0.001, 0.4, 0.3, 0.2, 0.0)
 
+    def test_y1_denominator_that_rounds_to_zero_names_the_denominator(self):
+        # mu > nu > omega and nu + omega < mu hold; the rounded denominator
+        # is 0.0. DecoyIntensities refuses them with the same message.
+        mu, nu, omega = 0.6024124315095266, 0.29027758371436535, 0.2902775837143647
+        message = (
+            r"^Y1 bound denominator mu\*nu - mu\*omega - nu\*nu \+ omega\*omega must be > 0, "
+            r"got 0\.0 \(mu=0\.6024124315095266, nu=0\.29027758371436535, "
+            r"omega=0\.2902775837143647\)$"
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            bound_y1(0.01, 0.005, 0.001, mu, nu, omega, 0.0)
+        with pytest.raises(ConfigurationError, match=message):
+            DecoyIntensities(mu, nu, omega)
+
     def test_e1_undefined_for_zero_yield(self):
         with pytest.raises(UndefinedBoundError):
             bound_e1(1e-4, 1e-8, 0.16, 0.015, 0.0)
@@ -159,6 +173,15 @@ class TestSweep:
         assert sweep_point_count(0.0, float(MAX_SWEEP_POINTS - 1), 1.0) == MAX_SWEEP_POINTS
         assert sweep_point_count(0.0, 60.0, 0.01) == 6001
         assert sweep_point_count(20.0, 10.0, 1.0) == 0
+
+    def test_range_whose_last_point_overflows_rejected(self):
+        # The last of four points, 0 + 3 * step, is inf.
+        with pytest.raises(ConfigurationError, match=r"^sweep 0\.0\.\.1\.7976931348623157e\+308 "
+                           r"dB in steps of 5\.992310449541053e\+307 dB has a last point, "
+                           r"0\.0 \+ 3 \* 5\.992310449541053e\+307 dB, that overflows to inf$"):
+            sweep_point_count(0.0, sys.float_info.max, 5.992310449541053e307)
+        # Three points end at 1.198e308, which is finite.
+        assert sweep_point_count(0.0, 1.2e308, 5.992310449541053e307) == 3
 
     def test_cutoff(self):
         points = sweep_loss(0.0, 60.0, 1.0, LinkParams(), DecoyIntensities())
@@ -378,7 +401,8 @@ _Q_ABOVE_ONE = DecoyIntensities(40.0, 1.0, 0.0)  # Q > 1 at 0 dB
         (-1.0, 1.0, 0.5, LinkParams(dark_rate=1e9), DecoyIntensities()),
         (0.0, 0.0, 1.0, LinkParams(), _Q_ABOVE_ONE),
         (0.0, 10.0, 1.0, LinkParams(dark_rate=1e9), DecoyIntensities()),
-        # The last of four points, 3 * step, overflows to inf.
+        # The last of four points, 3 * step, overflows to inf: sweep_point_count,
+        # which both sweeps call first, refuses the range.
         (0.0, _DBL_MAX, 5.992310449541053e307, LinkParams(), DecoyIntensities()),
         (0.0, _DBL_MAX, 5.992310449541053e307, LinkParams(), _Q_ABOVE_ONE),
     ],

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmqkd import linksim
 from dmqkd.decoy import analytic_class_gains
 from dmqkd.errors import ConfigurationError, ModelValidityError
 from dmqkd.linksim import (
@@ -351,6 +354,75 @@ class TestMonteCarlo:
         probs[("vacuum", "Z")] = bad
         with pytest.raises(ConfigurationError, match="state probabilities"):
             simulate_frames_mc(10**5, params, intens, probs)
+
+
+class TestWorkers:
+    """simulate_frames_mc runs its blocks on one thread per CPU the process
+    may use; the tallies must not depend on how many that is."""
+
+    @pytest.mark.parametrize(
+        "n_frames",
+        # Fewer blocks than workers, one whole block, a one-frame trailing
+        # block, and larger runs with a partial last block.
+        [1, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 1, 200_000, 1_000_005],
+    )
+    def test_tallies_do_not_depend_on_the_worker_count(self, monkeypatch, n_frames):
+        params, intens = LinkParams(), DecoyIntensities()
+        rows = []
+        # More workers than cores and frequent thread switches, so that a race
+        # on the tallies would show.
+        interval, threads = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(
+                    linksim.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k))
+                )
+                rows.append(simulate_frames_mc(n_frames, params, intens, seed=11).rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == rows[0] for r in rows[1:])
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 3])
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch, cpu_count):
+        params, intens = LinkParams(), DecoyIntensities()
+        want = simulate_frames_mc(200_000, params, intens, seed=5).rows
+        monkeypatch.delattr(linksim.os, "sched_getaffinity")
+        monkeypatch.setattr(linksim.os, "cpu_count", lambda: cpu_count)
+        assert simulate_frames_mc(200_000, params, intens, seed=5).rows == want
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch, cpus):
+        default_rng = np.random.default_rng
+
+        def failing_rng(seed_seq):
+            if seed_seq.spawn_key == (1,):
+                raise RuntimeError("block 1 failed")
+            return default_rng(seed_seq)
+
+        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 1 failed$"):
+            simulate_frames_mc(4 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
+        assert threading.active_count() == before
+
+    def test_other_workers_stop_after_an_error(self, monkeypatch):
+        default_rng, started = np.random.default_rng, []
+
+        def failing_rng(seed_seq):
+            started.append(seed_seq.spawn_key)
+            if seed_seq.spawn_key == (0,):
+                raise RuntimeError("block 0 failed")
+            return default_rng(seed_seq)
+
+        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
+        with pytest.raises(RuntimeError, match="^block 0 failed$"):
+            simulate_frames_mc(200 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
+        # Worker 1 owns 100 blocks; it stops at its next block, not its last.
+        assert len(started) < 50
 
 
 def test_with_loss_changes_only_loss():

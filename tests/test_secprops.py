@@ -80,6 +80,14 @@ class TestUniformityStats:
         _, p = circular_uniformity_stat(rng.normal(0.0, 0.2, size=1000) % TWO_PI)
         assert p < 1e-6
 
+    def test_p_value_that_underflows_is_positive_zero(self):
+        # exp(-z) is 0 and the correction factor is negative, so p is -0.0
+        # before the clamp; the report must print 0.0.
+        _, p = circular_uniformity_stat([0.1] * 100_000)
+        assert p == 0.0 and math.copysign(1.0, p) == 1.0
+        control = run_verification(seed=0)["properties"][-1]
+        assert json.dumps(control["p_value"]) == "0.0"
+
     def test_sample_size_floor(self):
         with pytest.raises(SampleSizeError):
             circular_uniformity_stat([0.1] * 99)
@@ -102,7 +110,7 @@ def _rayleigh_by_exp(samples):
     rbar = float(abs(np.exp(1j * arr).mean()))
     z = n * rbar * rbar
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
-    return z, min(max(p, 0.0), 1.0)
+    return z, min(max(0.0, p), 1.0)
 
 
 @st.composite
@@ -262,5 +270,5 @@ class TestExactCheckOracle:
         for seed in range(40):
             digest.update(json.dumps(_report(seed), sort_keys=True).encode() + b"\n")
         assert digest.hexdigest() == (
-            "936478a31ee4b44ba297c8c7168f1c47b96bbe6855934c7d9d5f2781d4a4f440"
+            "8d894fde8a775d913b9894711146d487f95da5e0c855a477aa8ea9495301c8c5"
         )
