@@ -18,14 +18,13 @@ error parameter e_det.
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._fanout import Crew, fan_out
 from .errors import ConfigurationError, ModelValidityError
 
 # (intensity_class, basis) rows of every tally; Y carries signal states only.
@@ -261,19 +260,17 @@ def simulate_frames_mc(
     p_sig = np.array(signal_click_probs(params, intens))
     cum = np.cumsum(probs)
     n_blocks = -(-int(n_frames) // DEFAULT_BLOCK_SIZE)
-    # Set when a worker fails, so that the others stop at their next block.
-    failed = threading.Event()
 
-    def run(first: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tallies of blocks first, first + step, ... as (sent, clicks)."""
+    def run(first: int, crew: Crew) -> tuple[np.ndarray, np.ndarray]:
+        """Tallies of blocks first, first + workers, ... as (sent, clicks)."""
         # Each draw is consumed by a compare before the next one refills the buffer.
         buf = np.empty(DEFAULT_BLOCK_SIZE)
         row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
         sent = np.zeros(4, dtype=np.int64)
         # Detections by row + 4 * error.
         clicks = np.zeros(8, dtype=np.int64)
-        for b in range(first, n_blocks, step):
-            if failed.is_set():
+        for b in range(first, n_blocks, crew.workers):
+            if crew.stopped:  # after an error
                 break
             start = b * DEFAULT_BLOCK_SIZE
             n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
@@ -306,34 +303,9 @@ def simulate_frames_mc(
             clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
         return sent, clicks
 
-    # The block body is numpy calls that release the GIL, so the threads run
-    # in parallel. Worker 0 runs in the calling thread.
-    cpus = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count() or 1
-    )
-    workers = min(cpus, n_blocks)
-    results: list = [None] * workers
-
-    def work(k: int) -> None:
-        try:
-            results[k] = run(k, workers)
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.set()
-            results[k] = exc
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    try:
-        for t in threads:
-            t.start()
-        work(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
+    # The block body is numpy calls that release the GIL, so the workers run
+    # in parallel.
+    results = fan_out(n_blocks, run)
     sent = sum(r[0] for r in results)
     clicks = sum(r[1] for r in results)
 

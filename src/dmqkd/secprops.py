@@ -19,12 +19,15 @@ axial data.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._fanout import Crew, fan_out
 from .encoding import EncodingSymbol, PhasePair, encode_symbol
 from .errors import SampleSizeError
 from .photonics import TWO_PI, Phase
@@ -74,13 +77,25 @@ def leakage_phases(pp: PhasePair, phi_rp: float, phi_rf: float) -> LeakagePhases
     return LeakagePhases(Phase(float(lr) / 2.0), Phase(float(erp) / 2.0))
 
 
+def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.max) -> np.ndarray:
+    """samples as a float array, each finite and at most bound in magnitude,
+    or SampleSizeError naming the first that is not."""
+    arr = np.asarray(samples, dtype=float)
+    # Written so that a NaN fails both comparisons.
+    if arr.size and not (-bound <= arr.min() and arr.max() <= bound):
+        bad = arr[~(np.abs(arr) <= bound)].flat[0]
+        limit = "" if bound == sys.float_info.max else f" and at most {bound:.4g} in magnitude"
+        raise SampleSizeError(f"{what} must be finite{limit}, got {bad}")
+    return arr
+
+
 def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
     """Rayleigh test of circular uniformity: returns (z, p).
 
     z = n * Rbar^2 with Rbar the mean resultant length;
     p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity.
     """
-    arr = np.asarray(samples, dtype=float)
+    arr = _finite(samples, "samples")
     n = arr.size
     if n < 100:
         raise SampleSizeError(f"need at least 100 samples, got {n}")
@@ -109,7 +124,7 @@ def _mod_two_pi(x: np.ndarray) -> np.ndarray:
 
 def axial_uniformity_p(samples: Sequence[float]) -> float:
     """Rayleigh p-value on the doubled angles (axial-data convention)."""
-    doubled = _mod_two_pi(2.0 * np.asarray(samples, dtype=float))
+    doubled = _mod_two_pi(2.0 * _finite(samples, "samples", sys.float_info.max / 2.0))
     _, p = circular_uniformity_stat(doubled)
     return p
 
@@ -117,10 +132,17 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
 def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
     """Histogram estimate (in bits) of I(label; phase) with MI_BINS phase bins."""
     labels = np.asarray(labels)
-    phases = _mod_two_pi(np.asarray(phases, dtype=float))
+    phases = _finite(phases, "phases")
+    if labels.shape != phases.shape:
+        raise SampleSizeError(
+            f"labels and phases differ in length: {labels.size} labels, {phases.size} phases"
+        )
+    n = labels.size
+    if n == 0:
+        raise SampleSizeError("need at least one sample, got 0")
+    phases = _mod_two_pi(phases)
     edges = np.linspace(0.0, TWO_PI, MI_BINS + 1)
     values = np.unique(labels)
-    n = labels.size
     joint = np.stack(
         [np.histogram(phases[labels == v], bins=edges)[0] for v in values]
     ).astype(float)
@@ -159,6 +181,67 @@ _SIGNAL_TABLE = {"signal": 1.0}
 FIXED_ENCODING_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 
 
+def _exact_invariance(draws: np.ndarray) -> dict:
+    """Exact R-bin (and R_P-bin) indistinguishability across the four
+    encodings at each (phi1, phi_rf) row of draws, in blocks of rows:
+    r_bin_amplitude's complex products in CPython's float order (0.5 * z is
+    (0.5+0j) * z), so each spread is bit-identical to it."""
+    pairs = [encode_symbol(sym, _SIGNAL_TABLE) for sym in BB84_SYMBOLS]
+    phi12 = np.array([[float(pp.phi12)] for pp in pairs])
+    phi23 = np.array([[float(pp.phi23)] for pp in pairs])
+    max_dev = 0.0
+    for start in range(0, len(draws), _EXACT_BLOCK):
+        phi1, phi_rf = draws[start:start + _EXACT_BLOCK].T
+        e, f = np.exp(1j * (phi1 + phi12 + phi23)), np.exp(1j * phi_rf)
+        ar, ai = 0.5 * e.real - 0.0 * e.imag, 0.5 * e.imag + 0.0 * e.real
+        br, bi = 1.0 + f.real, 0.0 + f.imag
+        re, im = ar * br - ai * bi, ar * bi + ai * br
+        max_dev = max(max_dev, float(np.hypot(re[1:] - re[0], im[1:] - im[0]).max()))
+    return {
+        "name": "r_bin_amplitude_encoding_invariance",
+        "passed": max_dev < 1e-12,
+        "max_deviation": max_dev,
+        "draws": len(draws),
+    }
+
+
+def _uniformity(name: str, samples: np.ndarray) -> dict:
+    """One-time-pad uniformity of leakage phases at one fixed setting."""
+    p = axial_uniformity_p(samples)
+    return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": samples.size}
+
+
+def _bits_and_phi_lr(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random Z-basis bits and phi_LR at each bit's phi23."""
+    bits = rng.integers(0, 2, size=N_UNIFORM)
+    return bits, sample_phi_lr(np.where(bits == 0, math.pi, 0.0), N_UNIFORM, rng)
+
+
+def _bit_phase_independence(bits_and_phases: tuple[np.ndarray, np.ndarray]) -> dict:
+    """Mutual information between the Z-basis bit and phi_LR."""
+    bits, phi_lr = bits_and_phases
+    mi = mutual_information_bits(bits, phi_lr)
+    return {
+        "name": "bit_phi_lr_mutual_information",
+        "passed": mi < MI_THRESHOLD,
+        "mi_bits": mi,
+        "samples": bits.size,
+    }
+
+
+def _negative_control(padding: np.ndarray) -> dict:
+    """A padding phase concentrated around 0 leaks, and the uniformity test
+    must detect it."""
+    concentrated = _mod_two_pi(_mod_two_pi(padding) + math.pi) / 2.0
+    p = axial_uniformity_p(concentrated)
+    return {
+        "name": "negative_control_nonuniform_detected",
+        "passed": p < P_THRESHOLD,
+        "p_value": p,
+        "samples": padding.size,
+    }
+
+
 def run_verification(seed: int = 0) -> dict:
     """Run the full property suite and return a JSON-serializable report.
 
@@ -167,72 +250,31 @@ def run_verification(seed: int = 0) -> dict:
     a mutual-information null between the encoded bit and phi_LR, and a
     negative control in which the padding phase is deliberately concentrated
     (its uniformity test must fail).
+
+    Each property is a draw from the one generator and a test of that draw
+    alone. The properties run on one thread per CPU the process may use,
+    taking their draws in the order listed, so the report does not depend on
+    the number of threads.
     """
     rng = np.random.default_rng(seed)
-    properties: list[dict] = []
-    pairs = [encode_symbol(sym, _SIGNAL_TABLE) for sym in BB84_SYMBOLS]
-
-    # Exact R-bin (and R_P-bin) indistinguishability across the four encodings,
-    # in blocks of draws: r_bin_amplitude's complex products in CPython's float
-    # order (0.5 * z is (0.5+0j) * z), so each spread is bit-identical to it.
-    phi12 = np.array([[float(pp.phi12)] for pp in pairs])
-    phi23 = np.array([[float(pp.phi23)] for pp in pairs])
-    max_dev = 0.0
-    for start in range(0, N_EXACT, _EXACT_BLOCK):
-        phi1, phi_rf = rng.uniform(0.0, TWO_PI, size=(min(_EXACT_BLOCK, N_EXACT - start), 2)).T
-        e, f = np.exp(1j * (phi1 + phi12 + phi23)), np.exp(1j * phi_rf)
-        ar, ai = 0.5 * e.real - 0.0 * e.imag, 0.5 * e.imag + 0.0 * e.real
-        br, bi = 1.0 + f.real, 0.0 + f.imag
-        re, im = ar * br - ai * bi, ar * bi + ai * br
-        max_dev = max(max_dev, float(np.hypot(re[1:] - re[0], im[1:] - im[0]).max()))
-    properties.append(
-        {
-            "name": "r_bin_amplitude_encoding_invariance",
-            "passed": max_dev < 1e-12,
-            "max_deviation": max_dev,
-            "draws": N_EXACT,
-        }
-    )
-
-    # One-time-pad uniformity of the leakage phases at every fixed setting.
+    tasks = [(lambda: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)), _exact_invariance)]
     for name, sampler in (("phi_lr", sample_phi_lr), ("phi_erp", sample_phi_erp)):
         for fixed in FIXED_ENCODING_PHASES:
-            p = axial_uniformity_p(sampler(fixed, N_UNIFORM, rng))
-            properties.append(
-                {
-                    "name": f"{name}_uniform_at_{fixed / math.pi:.2f}pi",
-                    "passed": p > P_THRESHOLD,
-                    "p_value": p,
-                    "samples": N_UNIFORM,
-                }
-            )
+            tasks.append((
+                functools.partial(sampler, fixed, N_UNIFORM, rng),
+                functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi"),
+            ))
+    tasks.append((functools.partial(_bits_and_phi_lr, rng), _bit_phase_independence))
+    tasks.append((lambda: rng.normal(0.0, 0.3, size=N_UNIFORM), _negative_control))
+    properties: list = [None] * len(tasks)
 
-    # Mutual information between the Z-basis bit and phi_LR.
-    bits = rng.integers(0, 2, size=N_UNIFORM)
-    phi_lr = sample_phi_lr(np.where(bits == 0, math.pi, 0.0), N_UNIFORM, rng)
-    mi = mutual_information_bits(bits, phi_lr)
-    properties.append(
-        {
-            "name": "bit_phi_lr_mutual_information",
-            "passed": mi < MI_THRESHOLD,
-            "mi_bits": mi,
-            "samples": N_UNIFORM,
-        }
-    )
+    def run(first: int, crew: Crew) -> None:
+        # Each test runs outside the turn, in parallel with the next draws.
+        for i in range(first, len(tasks), crew.workers):
+            draw, test = tasks[i]
+            properties[i] = test(crew.in_turn(i, draw))
 
-    # Negative control: a padding phase concentrated around 0 leaks, and the
-    # uniformity test must detect it.
-    concentrated = _mod_two_pi(_mod_two_pi(rng.normal(0.0, 0.3, size=N_UNIFORM)) + math.pi) / 2.0
-    p_control = axial_uniformity_p(concentrated)
-    properties.append(
-        {
-            "name": "negative_control_nonuniform_detected",
-            "passed": p_control < P_THRESHOLD,
-            "p_value": p_control,
-            "samples": N_UNIFORM,
-        }
-    )
-
+    fan_out(len(tasks), run)
     return {
         "seed": seed,
         "all_passed": all(p["passed"] for p in properties),

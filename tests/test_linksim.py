@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import sys
 import threading
 
@@ -376,7 +377,7 @@ class TestWorkers:
         try:
             for cpus in (1, 2, 3, 7):
                 monkeypatch.setattr(
-                    linksim.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k))
+                    os, "sched_getaffinity", lambda pid, k=cpus: set(range(k))
                 )
                 rows.append(simulate_frames_mc(n_frames, params, intens, seed=11).rows)
         finally:
@@ -388,8 +389,8 @@ class TestWorkers:
     def test_cpu_count_where_there_is_no_affinity(self, monkeypatch, cpu_count):
         params, intens = LinkParams(), DecoyIntensities()
         want = simulate_frames_mc(200_000, params, intens, seed=5).rows
-        monkeypatch.delattr(linksim.os, "sched_getaffinity")
-        monkeypatch.setattr(linksim.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert simulate_frames_mc(200_000, params, intens, seed=5).rows == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -401,7 +402,7 @@ class TestWorkers:
                 raise RuntimeError("block 1 failed")
             return default_rng(seed_seq)
 
-        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^block 1 failed$"):
@@ -417,7 +418,7 @@ class TestWorkers:
                 raise RuntimeError("block 0 failed")
             return default_rng(seed_seq)
 
-        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
         with pytest.raises(RuntimeError, match="^block 0 failed$"):
             simulate_frames_mc(200 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())

@@ -2,12 +2,17 @@ import functools
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmqkd import _fanout, secprops
 from dmqkd.encoding import EncodingSymbol, PhasePair, encode_symbol
 from dmqkd.errors import SampleSizeError
 from dmqkd.photonics import TWO_PI, Phase
@@ -100,6 +105,58 @@ class TestUniformityStats:
         assert axial_uniformity_p(samples) > 0.01
         _, p_plain = circular_uniformity_stat(samples)
         assert p_plain < 1e-6
+
+
+class TestBadSamples:
+    """Non-finite or mismatched samples raise SampleSizeError naming the
+    problem, instead of a misleading statistic or a raw numpy error."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rayleigh_rejects_a_non_finite_sample(self, bad):
+        samples = np.linspace(0.0, TWO_PI, 200)
+        samples[17] = bad
+        with pytest.raises(SampleSizeError, match=f"^samples must be finite, got {bad}$"):
+            circular_uniformity_stat(samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_axial_rejects_a_non_finite_sample(self, bad):
+        samples = np.linspace(0.0, math.pi, 200)
+        samples[0] = bad
+        with pytest.raises(SampleSizeError, match=f"finite and at most 8.988e\\+307 in magnitude, got {bad}$"):
+            axial_uniformity_p(samples)
+
+    def test_axial_rejects_a_sample_whose_double_overflows(self):
+        samples = np.linspace(0.0, math.pi, 200)
+        samples[5] = -1e308
+        with pytest.raises(SampleSizeError, match="got -1e\\+308$"):
+            axial_uniformity_p(samples)
+
+    def test_finite_extremes_keep_their_statistics(self):
+        samples = np.linspace(0.0, math.pi, 200)
+        samples[5] = sys.float_info.max / 2.0
+        assert 0.0 <= axial_uniformity_p(samples) <= 1.0
+        samples[5] = sys.float_info.max
+        z, p = circular_uniformity_stat(samples)
+        assert math.isfinite(z) and 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mutual_information_rejects_a_non_finite_phase(self, bad):
+        phases = np.linspace(0.0, TWO_PI, 200)
+        phases[3] = bad
+        with pytest.raises(SampleSizeError, match=f"^phases must be finite, got {bad}$"):
+            mutual_information_bits(np.arange(200) % 2, phases)
+
+    def test_mutual_information_rejects_empty_input(self):
+        with pytest.raises(SampleSizeError, match="^need at least one sample, got 0$"):
+            mutual_information_bits([], [])
+
+    @pytest.mark.parametrize("n_labels", [199, 201])
+    def test_mutual_information_rejects_mismatched_lengths(self, n_labels):
+        with pytest.raises(
+            SampleSizeError,
+            match=f"^labels and phases differ in length: {n_labels} labels, 200 phases$",
+        ):
+            mutual_information_bits(np.arange(n_labels) % 2, np.linspace(0.0, 1.0, 200))
 
 
 def _rayleigh_by_exp(samples):
@@ -272,3 +329,111 @@ class TestExactCheckOracle:
         assert digest.hexdigest() == (
             "8d894fde8a775d913b9894711146d487f95da5e0c855a477aa8ea9495301c8c5"
         )
+
+
+def _within_watchdog(fn, timeout=60.0):
+    """fn() on a daemon thread: its exception (None if it returned), failing
+    the test if fn is still running after timeout seconds."""
+    outcome = []
+
+    def call():
+        try:
+            fn()
+            outcome.append(None)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    watchdog = threading.Thread(target=call, daemon=True)
+    watchdog.start()
+    watchdog.join(timeout)
+    assert not watchdog.is_alive(), f"still running after {timeout} s"
+    return outcome[0]
+
+
+class TestVerificationWorkers:
+    """run_verification runs its properties on one thread per CPU the process
+    may use, up to one per property, taking the draws in order: the report
+    must not depend on the thread count, a failed task must reach the caller,
+    and no thread may outlive the call."""
+
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch):
+        crews = []
+
+        class RecordingCrew(_fanout.Crew):
+            def __init__(self, workers):
+                crews.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(_fanout, "Crew", RecordingCrew)
+        threads = threading.active_count()
+        reports = {}
+        # Frequent thread switches, so that draws taken out of turn would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3, 16):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+                reports[cpus] = [run_verification(seed=seed) for seed in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert crews == [1] * 5 + [2] * 5 + [3] * 5 + [11] * 5
+        assert all(r == reports[1] for r in reports.values())
+        assert reports[1] == [_report(seed) for seed in range(5)]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch, cpus):
+        # The third phi_ER_P draw raises while its task holds the turn; the
+        # tasks after it wait for a turn that never comes until the stop.
+        sample, calls = secprops.sample_phi_erp, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                time.sleep(0.1)  # so that the other workers are waiting
+                raise RuntimeError("third phi_erp draw failed")
+            return sample(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(secprops, "sample_phi_erp", failing)
+        before = threading.active_count()
+        exc = _within_watchdog(lambda: run_verification(seed=0))
+        assert isinstance(exc, RuntimeError) and str(exc) == "third phi_erp draw failed"
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_failed_test_reaches_the_caller(self, monkeypatch, cpus):
+        def failing(labels, phases):
+            raise RuntimeError("mutual information failed")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(secprops, "mutual_information_bits", failing)
+        before = threading.active_count()
+        exc = _within_watchdog(lambda: run_verification(seed=0))
+        assert isinstance(exc, RuntimeError) and str(exc) == "mutual information failed"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_interrupt_in_the_calling_thread_stops_the_others(self, monkeypatch, cpus):
+        # The calling thread runs task 0, so the other workers draw ahead and
+        # then wait for a turn that the interrupted thread would have taken.
+        tested, uniformity = threading.Event(), secprops.axial_uniformity_p
+
+        def test_then_signal(samples):
+            p = uniformity(samples)
+            tested.set()
+            return p
+
+        def interrupted(draws):
+            tested.wait(10.0)
+            time.sleep(0.1)  # so that the other workers are waiting
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(secprops, "axial_uniformity_p", test_then_signal)
+        monkeypatch.setattr(secprops, "_exact_invariance", interrupted)
+        before = threading.active_count()
+        exc = _within_watchdog(lambda: run_verification(seed=0))
+        assert isinstance(exc, KeyboardInterrupt)
+        assert threading.active_count() == before
