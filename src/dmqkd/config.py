@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .decoy import sweep_point_count
 from .encoding import CalibrationCurve, TimingParams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_seed
 from .linksim import DecoyIntensities, LinkParams, default_state_probs
 
 # Fewest and most frames an MC run may draw; the cap is tens of minutes of
@@ -42,12 +42,9 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_frames", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
+        if isinstance(self.n_frames, bool) or not isinstance(self.n_frames, int):
+            raise ConfigurationError(f"n_frames must be an integer, got {self.n_frames!r}")
+        check_seed(self.seed)
         if not MIN_MC_FRAMES <= self.n_frames <= MAX_MC_FRAMES:
             raise ConfigurationError(
                 f"need {MIN_MC_FRAMES}..{MAX_MC_FRAMES} MC frames, got {self.n_frames!r}"

@@ -133,40 +133,23 @@ class TimingParams:
 _TIMING_FIELDS = tuple(f.name for f in fields(TimingParams))
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
-    """One timed electrical event: channel, start, duration (s), level (V)."""
-
-    channel: str
-    start: float
-    duration: float
-    level: float
-
-
-class EventColumns(Sequence[ScheduleEvent]):
-    """A schedule's events as parallel columns, read as ScheduleEvent rows (built
-    on first read and kept). code indexes _CHANNELS; start, duration and level
-    are float64."""
+class EventColumns:
+    """A schedule's events as parallel columns: code indexes _CHANNELS; start,
+    duration and level are float64. Two are equal when their columns are equal
+    value by value (-0.0 equals 0.0; a schedule holds no NaN)."""
 
     def __init__(self, code, start, duration, level):
         self.code, self.start, self.duration, self.level = code, start, duration, level
-        self._rows, self._text_parts = None, None
-
-    @property
-    def rows(self) -> tuple[ScheduleEvent, ...]:
-        if self._rows is None:
-            self._rows = tuple(map(ScheduleEvent, map(_CHANNELS.__getitem__, self.code.tolist()),
-                                   self.start.tolist(), self.duration.tolist(), self.level.tolist()))
-        return self._rows
+        self._text_parts = None
 
     def __len__(self) -> int:
         return len(self.start)
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
     def __eq__(self, other: object) -> bool:
-        return self.rows == (other.rows if isinstance(other, EventColumns) else other)
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return all(map(np.array_equal, (self.code, self.start, self.duration, self.level),
+                       (other.code, other.start, other.duration, other.level)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +173,8 @@ class WaveformSchedule:
         if not ok.all():
             i = int(ok.argmin())
             code, t, d, lv = (col[i].item() for col in (ev.code, ev.start, ev.duration, ev.level))
-            e = ScheduleEvent(_CHANNELS[code] if 0 <= code < len(_CHANNELS) else code, t, d, lv)
-            raise ScheduleParseError(f"event at t={e.start!r}: {_event_problem(e)}")
+            channel = _CHANNELS[code] if 0 <= code < len(_CHANNELS) else code
+            raise ScheduleParseError(f"event at t={t!r}: {_event_problem(channel, t, d, lv)}")
         s, c = ev.start, ev.code  # compared, not subtracted: -1e308 - 1e308 overflows
         if not ((s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (c[1:] >= c[:-1]))).all():
             o = np.lexsort((ev.code, ev.start))
@@ -306,11 +289,10 @@ def compile_schedule(
     delay, pert, on = timing.amzi_delay, timing.perturbation_width, timing.slave_on_time
     offset = (delay - pert) / 2.0
     steps, offsets = [0, 0, 0, 1, 1, 2], [0, 0, offset, 0, offset, 0]
-    last = (n - 1) * timing.symbol_period  # the last symbol's starts are the largest
-    if not all(math.isfinite(last + k * delay + off) for k, off in zip(steps, offsets)):
+    with np.errstate(over="ignore"):
+        start = (np.arange(n) * timing.symbol_period)[:, None] + np.array(steps) * delay + offsets
+    if not np.isfinite(start[-1]).all():  # the last symbol's starts are the largest
         raise ConfigurationError(f"event times of {n} symbols overflow at this timing")
-    t0 = np.arange(n) * timing.symbol_period
-    start = t0[:, None] + np.array(steps) * delay + offsets
     level = np.full((n, 6), DRIVE_LEVEL_V)
     level[:, [2, 4]] = volts[kind]
     code = [_CODES[ch] for ch in (CH_MASTER, CH_SLAVE, CH_PERT, CH_SLAVE, CH_PERT, CH_SLAVE)]
@@ -319,17 +301,14 @@ def compile_schedule(
         np.tile([timing.master_on_time, on, pert, on, pert, on], n), level.ravel()))
 
 
-def _event_problem(ev: ScheduleEvent) -> str | None:
+def _event_problem(channel, start: float, duration: float, level: float) -> str | None:
     """Why an event cannot appear in a schedule, or None if it can."""
-    if ev.channel not in _CHANNELS:
-        return f"unknown channel {ev.channel!r}"
-    if not (math.isfinite(ev.start) and math.isfinite(ev.duration) and math.isfinite(ev.level)):
-        return (
-            "start, duration and level must be finite, "
-            f"got {ev.start!r} {ev.duration!r} {ev.level!r}"
-        )
-    if ev.duration <= 0.0:
-        return f"duration must be > 0, got {ev.duration!r}"
+    if channel not in _CHANNELS:
+        return f"unknown channel {channel!r}"
+    if not (math.isfinite(start) and math.isfinite(duration) and math.isfinite(level)):
+        return f"start, duration and level must be finite, got {start!r} {duration!r} {level!r}"
+    if duration <= 0.0:
+        return f"duration must be > 0, got {duration!r}"
     return None
 
 
@@ -452,7 +431,7 @@ def _raise_first_bad_line(lines: list[str], first: int) -> None:
         if parts and len(parts) != 4:
             raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            problem = parts and _event_problem(ScheduleEvent(parts[0], *map(float, parts[1:])))
+            problem = parts and _event_problem(parts[0], *map(float, parts[1:]))
         except ValueError as exc:
             raise ScheduleParseError(f"line {lineno}: bad number") from exc
         if problem:

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._fanout import Crew, fan_out
-from .errors import ConfigurationError, ModelValidityError
+from .errors import ConfigurationError, ModelValidityError, check_seed
 
 # (intensity_class, basis) rows of every tally; Y carries signal states only.
 STATE_ROWS: tuple[tuple[str, str], ...] = (
@@ -246,6 +246,7 @@ def simulate_frames_mc(
         raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
     if n_frames <= 0:
         raise ConfigurationError(f"n_frames must be > 0, got {n_frames!r}")
+    check_seed(seed)
     if state_probs is None:
         state_probs = default_state_probs(params)
     probs = np.array([state_probs.get(row, 0.0) for row in STATE_ROWS], dtype=float)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._fanout import Crew, fan_out
 from .encoding import EncodingSymbol, PhasePair, encode_symbol
-from .errors import SampleSizeError
+from .errors import SampleSizeError, check_seed
 from .photonics import TWO_PI, Phase
 
 # Sizes and thresholds of run_verification: exact-check draws, samples per
@@ -79,8 +79,12 @@ def leakage_phases(pp: PhasePair, phi_rp: float, phi_rf: float) -> LeakagePhases
 
 def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.max) -> np.ndarray:
     """samples as a float array, each finite and at most bound in magnitude,
-    or SampleSizeError naming the first that is not."""
-    arr = np.asarray(samples, dtype=float)
+    or SampleSizeError naming the first that is not. The dtype is checked
+    before the cast, so complex, text or object samples are not coerced."""
+    arr = np.asarray(samples)
+    if arr.dtype.kind not in "iuf":
+        raise SampleSizeError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     # Written so that a NaN fails both comparisons.
     if arr.size and not (-bound <= arr.min() and arr.max() <= bound):
         bad = arr[~(np.abs(arr) <= bound)].flat[0]
@@ -132,6 +136,12 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
 def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
     """Histogram estimate (in bits) of I(label; phase) with MI_BINS phase bins."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise SampleSizeError(f"labels must be real numbers, got dtype {labels.dtype}")
+    # A NaN label equals no label: its samples would drop out of the joint
+    # histogram while n still counts them.
+    if not np.isfinite(labels).all():
+        raise SampleSizeError(f"labels must be finite, got {labels[~np.isfinite(labels)].flat[0]}")
     phases = _finite(phases, "phases")
     if labels.shape != phases.shape:
         raise SampleSizeError(
@@ -176,9 +186,12 @@ BB84_SYMBOLS = (
     EncodingSymbol("Y", 0),
     EncodingSymbol("Y", 1),
 )
-_SIGNAL_TABLE = {"signal": 1.0}
-
-FIXED_ENCODING_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+# (phi12, phi23) of each BB84 symbol as the encoder sets them; rows 0 and 1
+# are Z0 and Z1, so row `bit` holds a Z bit's phases.
+_BB84_PHASES = np.array([[float(pp.phi12), float(pp.phi23)] for pp in
+                         (encode_symbol(sym, {"signal": 1.0}) for sym in BB84_SYMBOLS)])
+# Every phase step the four encodings apply, in increasing order.
+FIXED_ENCODING_PHASES = tuple(sorted(set(_BB84_PHASES.ravel().tolist())))
 
 
 def _exact_invariance(draws: np.ndarray) -> dict:
@@ -186,9 +199,7 @@ def _exact_invariance(draws: np.ndarray) -> dict:
     encodings at each (phi1, phi_rf) row of draws, in blocks of rows:
     r_bin_amplitude's complex products in CPython's float order (0.5 * z is
     (0.5+0j) * z), so each spread is bit-identical to it."""
-    pairs = [encode_symbol(sym, _SIGNAL_TABLE) for sym in BB84_SYMBOLS]
-    phi12 = np.array([[float(pp.phi12)] for pp in pairs])
-    phi23 = np.array([[float(pp.phi23)] for pp in pairs])
+    phi12, phi23 = _BB84_PHASES[:, :1], _BB84_PHASES[:, 1:]
     max_dev = 0.0
     for start in range(0, len(draws), _EXACT_BLOCK):
         phi1, phi_rf = draws[start:start + _EXACT_BLOCK].T
@@ -214,7 +225,7 @@ def _uniformity(name: str, samples: np.ndarray) -> dict:
 def _bits_and_phi_lr(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random Z-basis bits and phi_LR at each bit's phi23."""
     bits = rng.integers(0, 2, size=N_UNIFORM)
-    return bits, sample_phi_lr(np.where(bits == 0, math.pi, 0.0), N_UNIFORM, rng)
+    return bits, sample_phi_lr(_BB84_PHASES[bits, 1], N_UNIFORM, rng)
 
 
 def _bit_phase_independence(bits_and_phases: tuple[np.ndarray, np.ndarray]) -> dict:
@@ -256,6 +267,7 @@ def run_verification(seed: int = 0) -> dict:
     taking their draws in the order listed, so the report does not depend on
     the number of threads.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     tasks = [(lambda: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)), _exact_invariance)]
     for name, sampler in (("phi_lr", sample_phi_lr), ("phi_erp", sample_phi_erp)):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from dmqkd.config import (
 from dmqkd.decoy import MAX_SWEEP_POINTS
 from dmqkd.encoding import TimingParams
 from dmqkd.errors import ConfigurationError
+from dmqkd.linksim import DecoyIntensities, LinkParams, simulate_frames_mc
+from dmqkd.secprops import run_verification
 
 
 class TestFlatRoundTrip:
@@ -270,6 +273,24 @@ class TestOverrides:
     def test_non_integer_frames_and_seed_rejected(self, kw):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             McSpec(**kw)
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+         ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
+         (None, "seed must be an integer, got None")],
+        ids=["negative", "float", "str", "bool", "none"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [lambda seed: McSpec(seed=seed),
+         lambda seed: simulate_frames_mc(10_000, LinkParams(), DecoyIntensities(), seed=seed),
+         lambda seed: run_verification(seed)],
+        ids=["McSpec", "simulate_frames_mc", "run_verification"],
+    )
+    def test_one_seed_rule_for_the_spec_the_sampler_and_verify(self, call, seed, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            call(seed)
 
     def test_range_checked_after_all_overrides(self):
         cfg = with_flat(RunConfig(), sweep_min_db=70.0, sweep_max_db=80.0)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from dmqkd.encoding import (
     EncodingSymbol,
     EventColumns,
     PhasePair,
-    ScheduleEvent,
     TimingParams,
     WaveformSchedule,
     compile_schedule,
@@ -48,9 +47,26 @@ _SLOW_TIMING = TimingParams(master_rate=1.0, perturbation_width=_SLOW_DELAY / 3,
 _CHANNEL_CODES = {CH_MASTER: 0, CH_PERT: 1, CH_SLAVE: 2}
 
 
+@dataclass(frozen=True)
+class Row:
+    """One event as the reference loops build and read it."""
+
+    channel: str
+    start: float
+    duration: float
+    level: float
+
+
+def _rows(events):
+    """The events of EventColumns as a list of Rows, in column order."""
+    names = tuple(_CHANNEL_CODES)
+    return list(map(Row, map(names.__getitem__, events.code.tolist()), events.start.tolist(),
+                    events.duration.tolist(), events.level.tolist()))
+
+
 def _schedule(timing, rows):
-    """A schedule of hand-built ScheduleEvent rows, passed as columns. A channel
-    other than the three gets code 3, which the schedule rejects."""
+    """A schedule of hand-built Rows, passed as columns. A channel other than
+    the three gets code 3, which the schedule rejects."""
     rows = list(rows)
     return WaveformSchedule(timing, EventColumns(
         np.array([_CHANNEL_CODES.get(e.channel, 3) for e in rows], dtype=np.int8),
@@ -209,7 +225,7 @@ class TestScheduleCompile:
         sched = compile_schedule(stream, TimingParams(), CalibrationCurve(), TABLE)
         assert len(sched.events) == 18
         by_channel = {}
-        for ev in sched.events:
+        for ev in _rows(sched.events):
             by_channel[ev.channel] = by_channel.get(ev.channel, 0) + 1
         assert by_channel == {CH_MASTER: 3, CH_SLAVE: 9, CH_PERT: 6}
 
@@ -217,7 +233,7 @@ class TestScheduleCompile:
         cal = CalibrationCurve()
         sched = compile_schedule([EncodingSymbol("Y", 0)], TimingParams(), cal, TABLE)
         perts = sorted(
-            (ev for ev in sched.events if ev.channel == CH_PERT), key=lambda e: e.start
+            (ev for ev in _rows(sched.events) if ev.channel == CH_PERT), key=lambda e: e.start
         )
         assert [ev.level for ev in perts] == pytest.approx(
             [voltage_for_phase(math.pi / 2.0, cal)] * 2
@@ -226,8 +242,8 @@ class TestScheduleCompile:
     def test_perturbations_sit_between_slave_onsets(self):
         t = TimingParams()
         sched = compile_schedule([EncodingSymbol("Z", 0)], t, CalibrationCurve(), TABLE)
-        slaves = sorted(ev.start for ev in sched.events if ev.channel == CH_SLAVE)
-        perts = sorted((ev.start, ev.duration) for ev in sched.events if ev.channel == CH_PERT)
+        slaves = sorted(ev.start for ev in _rows(sched.events) if ev.channel == CH_SLAVE)
+        perts = sorted((ev.start, ev.duration) for ev in _rows(sched.events) if ev.channel == CH_PERT)
         for (start, width), left, right in zip(perts, slaves, slaves[1:]):
             assert left < start and start + width < right + 1e-15
             mid = (left + right) / 2.0
@@ -247,13 +263,8 @@ class TestScheduleCompile:
             compile_schedule([EncodingSymbol("Z", 0)] * 19, t, cal, TABLE)
         sched = compile_schedule([EncodingSymbol("Z", 0)] * 18, t, cal, TABLE)
         back = schedule_from_text(schedule_to_text(sched))
-        assert back == sched and math.isfinite(max(ev.start for ev in back.events))
+        assert back == sched and math.isfinite(back.events.start.max())
         assert len(decompile_schedule(back, t, cal)) == 18
-
-    def test_len_builds_no_rows(self):
-        sched = compile_schedule(_LONG_STREAM, TimingParams(), CalibrationCurve(), TABLE)
-        assert len(sched.events) == 6 * len(_LONG_STREAM)
-        assert sched.events._rows is None
 
     def test_decompile_recovers_phases(self):
         stream = [EncodingSymbol("Z", 1), EncodingSymbol("Y", 0), EncodingSymbol("Z", 1, "vacuum")]
@@ -270,8 +281,8 @@ class TestScheduleCompile:
         sched = compile_schedule([EncodingSymbol("Z", 0)], t, cal, TABLE)
         stripped = _schedule(
             t,
-            tuple(ev for ev in sched.events if ev.channel != CH_PERT)[:5]
-            + tuple(ev for ev in sched.events if ev.channel == CH_PERT)[:1],
+            tuple(ev for ev in _rows(sched.events) if ev.channel != CH_PERT)[:5]
+            + tuple(ev for ev in _rows(sched.events) if ev.channel == CH_PERT)[:1],
         )
         with pytest.raises(ScheduleParseError):
             decompile_schedule(stripped, t, cal)
@@ -279,8 +290,8 @@ class TestScheduleCompile:
     def test_overlapping_events_rejected(self):
         t, cal = TimingParams(), CalibrationCurve()
         events = (
-            ScheduleEvent(CH_SLAVE, 0.0, 400e-12, 1.0),
-            ScheduleEvent(CH_SLAVE, 100e-12, 400e-12, 1.0),
+            Row(CH_SLAVE, 0.0, 400e-12, 1.0),
+            Row(CH_SLAVE, 100e-12, 400e-12, 1.0),
         )
         with pytest.raises(ScheduleParseError):
             decompile_schedule(_schedule(t, events), t, cal)
@@ -291,17 +302,54 @@ class TestScheduleCompile:
         t, cal = TimingParams(), CalibrationCurve()
         events = []
         for start, duration in ((1e308, 1e308), (1.5e308, 1e307)):
-            events.append(ScheduleEvent(CH_MASTER, start, duration, 1.0))
+            events.append(Row(CH_MASTER, start, duration, 1.0))
             for k in (1, 2):
-                events.append(ScheduleEvent(CH_PERT, start + k * 1e306, 1e300, 0.4))
+                events.append(Row(CH_PERT, start + k * 1e306, 1e300, 0.4))
             for k in (3, 4, 5):
-                events.append(ScheduleEvent(CH_SLAVE, start + k * 1e306, 1e300, 1.0))
+                events.append(Row(CH_SLAVE, start + k * 1e306, 1e300, 1.0))
         sched = _schedule(t, events)
         with pytest.raises(ScheduleParseError, match="overlapping"):
             decompile_schedule(sched, t, cal)
         with pytest.raises(ScheduleParseError):
-            _decompile_by_scan(sched.events, cal)
+            _decompile_by_scan(_rows(sched.events), cal)
 
+
+def _pair(**edit):
+    """A master and a perturbation as columns, with the named columns replaced."""
+    cols = dict(code=[0, 1], start=[0.0, 1e-10], duration=[1.4e-9, 1.5e-10], level=[1.0, 0.0])
+    cols.update(edit)
+    return EventColumns(np.array(cols["code"], dtype=np.int8),
+                        *(np.array(cols[k], dtype=float) for k in ("start", "duration", "level")))
+
+
+class TestScheduleEquality:
+    def test_signed_zero_levels_compare_equal(self):
+        t = TimingParams()
+        assert WaveformSchedule(t, _pair(level=[1.0, -0.0])) == WaveformSchedule(t, _pair())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [dict(code=[0, 2]), dict(start=[0.0, 2e-10]), dict(duration=[1.4e-9, 1e-10]),
+         dict(level=[1.0, 0.4]), dict(code=[0], start=[0.0], duration=[1.4e-9], level=[1.0])],
+        ids=["code", "start", "duration", "level", "length"],
+    )
+    def test_a_different_column_compares_unequal(self, edit):
+        t = TimingParams()
+        assert WaveformSchedule(t, _pair(**edit)) != WaveformSchedule(t, _pair())
+
+    def test_a_different_timing_compares_unequal(self):
+        other = TimingParams(master_rate=5e8, master_on_time=1.8e-9)
+        assert WaveformSchedule(other, _pair()) != WaveformSchedule(TimingParams(), _pair())
+
+    @pytest.mark.parametrize(
+        "other",
+        [None, "events", [], [Row(CH_MASTER, 0.0, 1.4e-9, 1.0), Row(CH_PERT, 1e-10, 1.5e-10, 0.0)]],
+        ids=["none", "str", "empty-list", "rows"],
+    )
+    def test_another_type_compares_unequal(self, other):
+        sched = WaveformSchedule(TimingParams(), _pair())
+        assert (sched.events == other) is False and (other == sched.events) is False
+        assert (sched == other) is False
 
 _HEADER = (
     "# timing master_rate=666666666.6666666 perturbation_width=1.5e-10"
@@ -389,7 +437,7 @@ class TestScheduleSerialization:
     def test_starts_whose_difference_overflows_parse_without_warning(self):
         sched = schedule_from_text(
             _HEADER + "\nslave_drive 1e308 3e-10 1.0\nslave_drive -1e308 3e-10 1.0\n")
-        assert [ev.start for ev in sched.events] == [-1e308, 1e308]
+        assert sched.events.start.tolist() == [-1e308, 1e308]
 
     # SHA-256 of the text and JSON forms of a seeded 4,096-symbol stream. Any
     # change to event times, order or number formatting moves these.
@@ -447,7 +495,7 @@ def _json_by_dumps(sched):
         "events": [
             {"channel": ev.channel, "start_s": ev.start, "duration_s": ev.duration,
              "level_v": ev.level}
-            for ev in sorted(sched.events, key=lambda e: (e.start, e.channel))
+            for ev in sorted(_rows(sched.events), key=lambda e: (e.start, e.channel))
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -456,7 +504,7 @@ def _json_by_dumps(sched):
 def _text_by_rows(sched):
     """The text form written one event at a time."""
     header = "# timing " + " ".join(f"{k}={v!r}" for k, v in asdict(sched.timing).items())
-    lines = [f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}" for ev in sched.events]
+    lines = [f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}" for ev in _rows(sched.events)]
     return "\n".join([header] + lines) + "\n"
 
 
@@ -468,12 +516,12 @@ def _compile_by_loop(stream, timing, cal):
     for i, sym in enumerate(stream):
         pair = encode_symbol(sym, TABLE)
         t0 = i * timing.symbol_period
-        events.append(ScheduleEvent(CH_MASTER, t0, timing.master_on_time, 1.0))
+        events.append(Row(CH_MASTER, t0, timing.master_on_time, 1.0))
         for k in range(3):
-            events.append(ScheduleEvent(CH_SLAVE, t0 + k * delay, timing.slave_on_time, 1.0))
+            events.append(Row(CH_SLAVE, t0 + k * delay, timing.slave_on_time, 1.0))
         for k, phi in enumerate((pair.phi12, pair.phi23)):
-            events.append(ScheduleEvent(CH_PERT, t0 + k * delay + pert_offset,
-                                        timing.perturbation_width, voltage_for_phase(phi, cal)))
+            events.append(Row(CH_PERT, t0 + k * delay + pert_offset,
+                              timing.perturbation_width, voltage_for_phase(phi, cal)))
     return _schedule(timing, events)
 
 
@@ -528,7 +576,7 @@ def _mutate(events, data):
         ("drop", "duplicate", "shift", "stretch", "stray", "rechannel", "relevel", "non-finite")
     ))
     if kind == "stray" or not events:
-        events.append(ScheduleEvent(
+        events.append(Row(
             data.draw(st.sampled_from((CH_PERT, CH_SLAVE, CH_MASTER))),
             data.draw(st.integers(-40, 200)) * 50e-12,
             data.draw(st.sampled_from((150e-12, 300e-12, 1.4e-9))),
@@ -562,7 +610,7 @@ class TestDecompileAgainstScan:
     @given(data=st.data())
     def test_same_pairs_or_same_error(self, data):
         stream = data.draw(streams(6))
-        events = list(_compiled(stream).events)
+        events = _rows(_compiled(stream).events)
         for _ in range(data.draw(st.integers(1, 3))):
             _mutate(events, data)
         t, cal = TimingParams(), CalibrationCurve()
@@ -572,7 +620,7 @@ class TestDecompileAgainstScan:
         except ScheduleParseError:
             sched = None  # a field fault, which the scan must find too
         else:
-            assert list(sched.events) == order
+            assert _rows(sched.events) == order
         try:
             want = _decompile_by_scan(order, cal)
         except ScheduleParseError:
@@ -623,7 +671,7 @@ def _parse_by_lines(text):
             )
         if duration <= 0.0:
             raise ScheduleParseError(f"line {lineno}: duration must be > 0, got {duration!r}")
-        events.append(ScheduleEvent(parts[0], start, duration, level))
+        events.append(Row(parts[0], start, duration, level))
     return _schedule(timing, events)
 
 
@@ -722,7 +770,7 @@ class TestScheduleProperties:
         assert schedule_to_json(sched) == _json_by_dumps(sched)
 
     def test_signed_zero_levels_keep_their_sign(self):
-        events = tuple(ScheduleEvent(CH_PERT, k * 1e-9, 150e-12, level)
+        events = tuple(Row(CH_PERT, k * 1e-9, 150e-12, level)
                        for k, level in enumerate((0.0, -0.0, 0.0, -0.0)))
         sched = _schedule(TimingParams(), events)
         assert [ln.split()[3] for ln in schedule_to_text(sched).splitlines()[1:]] == [
@@ -737,8 +785,8 @@ class TestScheduleProperties:
     @pytest.mark.parametrize("level", [1, -0.0, 1e300])
     def test_json_special_levels(self, level):
         events = (
-            ScheduleEvent(CH_PERT, 1e-9, 150e-12, level),
-            ScheduleEvent(CH_SLAVE, 0.0, 3e-10, 1.0),
+            Row(CH_PERT, 1e-9, 150e-12, level),
+            Row(CH_SLAVE, 0.0, 3e-10, 1.0),
         )
         sched = _schedule(TimingParams(), events)
         assert schedule_to_json(sched) == _json_by_dumps(sched)
@@ -797,15 +845,15 @@ class TestScheduleValidation:
     @pytest.mark.parametrize(
         "event",
         [
-            ScheduleEvent(CH_SLAVE, math.nan, 3e-10, 1.0),
-            ScheduleEvent(CH_PERT, 1e-10, 0.0, 0.4),
-            ScheduleEvent(CH_PERT, 1e-10, 1.5e-10, math.inf),
-            ScheduleEvent("mystery", 1e-10, 1.5e-10, 0.4),
+            Row(CH_SLAVE, math.nan, 3e-10, 1.0),
+            Row(CH_PERT, 1e-10, 0.0, 0.4),
+            Row(CH_PERT, 1e-10, 1.5e-10, math.inf),
+            Row("mystery", 1e-10, 1.5e-10, 0.4),
         ],
     )
     def test_bad_hand_built_event_rejected(self, event):
         t = TimingParams()
-        events = list(_compiled([EncodingSymbol("Z", 0)]).events) + [event]
+        events = _rows(_compiled([EncodingSymbol("Z", 0)]).events) + [event]
         with pytest.raises(ScheduleParseError, match="^event at t="):
             decompile_schedule(_schedule(t, events), t, CalibrationCurve())
 
@@ -821,7 +869,7 @@ class TestScheduleValidation:
              "slave_drive event at t=-1e-09 lies outside every master window"),
             (lambda ev: ev[:-1] + [replace(ev[-1], duration=1e-9)],
              "slave_drive event at t=2.5e-09 lies outside every master window"),
-            (lambda ev: ev + [ScheduleEvent("mystery", 1e-10, 1.5e-10, 0.4)],
+            (lambda ev: ev + [Row("mystery", 1e-10, 1.5e-10, 0.4)],
              "event at t=1e-10: unknown channel 3"),
             (lambda ev: ev[:3] + [replace(ev[3], start=1e-10)] + ev[4:],
              "overlapping events on channel slave_drive at t=1e-10"),
@@ -833,7 +881,7 @@ class TestScheduleValidation:
         # Events of [Z0s, Y1s] in order: master, slave, perturbation, slave,
         # perturbation, slave, then the same for the second symbol.
         t = TimingParams()
-        events = edit(list(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]).events))
+        events = edit(_rows(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]).events))
         with pytest.raises(ScheduleParseError) as info:
             decompile_schedule(_schedule(t, events), t, CalibrationCurve())
         assert str(info.value) == message
@@ -842,7 +890,7 @@ class TestScheduleValidation:
         # The schedule checks every event's fields when it is built, so a
         # field fault is named before any fault decompile_schedule finds.
         t = TimingParams()
-        ev = list(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]).events)
+        ev = _rows(_compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)]).events)
         events = ev[:3] + [replace(ev[3], start=1e-10)] + ev[4:] + [replace(ev[-1], level=math.nan)]
         with pytest.raises(ScheduleParseError, match="^event at t=2.5e-09: start, duration"):
             decompile_schedule(_schedule(t, events), t, CalibrationCurve())

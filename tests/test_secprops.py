@@ -150,6 +150,47 @@ class TestBadSamples:
         with pytest.raises(SampleSizeError, match="^need at least one sample, got 0$"):
             mutual_information_bits([], [])
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda ph: mutual_information_bits([0.5, math.nan] * 100, ph),
+             "labels must be finite, got nan"),
+            (lambda ph: mutual_information_bits([1, -math.inf] * 100, ph),
+             "labels must be finite, got -inf"),
+            (lambda ph: mutual_information_bits([None, 1] * 100, ph),
+             "labels must be real numbers, got dtype object"),
+            (lambda ph: mutual_information_bits(["0", "1"] * 100, ph),
+             "labels must be real numbers, got dtype <U1"),
+            (lambda ph: mutual_information_bits(np.arange(200) % 2 + 0j, ph),
+             "labels must be real numbers, got dtype complex128"),
+            (lambda ph: mutual_information_bits(np.arange(200) % 2, ph + 0j),
+             "phases must be real numbers, got dtype complex128"),
+            (lambda ph: circular_uniformity_stat(ph + 1j),
+             "samples must be real numbers, got dtype complex128"),
+            (lambda ph: axial_uniformity_p(ph.astype(np.complex64)),
+             "samples must be real numbers, got dtype complex64"),
+            (lambda ph: circular_uniformity_stat(list(map(str, ph))),
+             "samples must be real numbers, got dtype <U"),
+            (lambda ph: axial_uniformity_p([None] * 200),
+             "samples must be real numbers, got dtype object"),
+            (lambda ph: circular_uniformity_stat(ph > 1.0),
+             "samples must be real numbers, got dtype bool"),
+        ],
+        ids=["nan-label", "inf-label", "none-label", "str-label", "complex-label",
+             "complex-phase", "complex-rayleigh", "complex-axial", "str-sample",
+             "none-sample", "bool-sample"],
+    )
+    def test_values_that_are_not_finite_real_numbers_rejected(self, call, message):
+        with pytest.raises(SampleSizeError, match=f"^{message}"):
+            call(np.linspace(0.0, TWO_PI, 200))
+
+    def test_bool_and_float_labels_give_the_int_labels_statistic(self):
+        phases = np.random.default_rng(4).uniform(0.0, TWO_PI, 200)
+        bits = np.arange(200) % 3 == 0
+        want = mutual_information_bits(bits.astype(int), phases)
+        assert mutual_information_bits(bits, phases) == want
+        assert mutual_information_bits(bits.astype(float), phases) == want
+
     @pytest.mark.parametrize("n_labels", [199, 201])
     def test_mutual_information_rejects_mismatched_lengths(self, n_labels):
         with pytest.raises(
