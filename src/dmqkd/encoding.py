@@ -202,10 +202,12 @@ def voltage_for_phase(phi: float, cal: CalibrationCurve) -> float:
 
 
 def phase_for_voltage(v: float, cal: CalibrationCurve) -> Phase:
-    """Inverse of voltage_for_phase."""
-    if not math.isfinite(v):
-        raise ScheduleParseError(f"voltage must be finite, got {v!r}")
-    return Phase((v / cal.v_pi) * math.pi)
+    """Inverse of voltage_for_phase; a voltage whose phase is not finite
+    raises ScheduleParseError."""
+    phi = (v / cal.v_pi) * math.pi
+    if not math.isfinite(phi):
+        raise ScheduleParseError(f"voltage {v!r} at v_pi={cal.v_pi!r} gives no finite phase")
+    return Phase(phi)
 
 
 def predicted_pulse_amplitude(v: float, cal: CalibrationCurve, a: float = 1.0) -> float:

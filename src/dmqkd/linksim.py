@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -319,8 +319,5 @@ def simulate_frames_mc(
 
 
 def with_loss(params: LinkParams, loss_db: float) -> LinkParams:
-    """Copy of params at another channel loss; only the new loss is checked."""
-    _check_loss_db(loss_db)
-    at = object.__new__(type(params))
-    at.__dict__.update(params.__dict__, loss_db=loss_db)
-    return at
+    """Copy of params at another channel loss."""
+    return replace(params, loss_db=loss_db)

@@ -151,12 +151,3 @@ def amzi_transform(frame: PulseFrame) -> OutputFrame:
         _check_finite(out, "AMZI output")
     return out
 
-
-def relative_phase_el(phi12: float, phi23: float) -> Phase:
-    """Phase difference between the early and late output bins.
-
-    Equals (phi12 + phi23)/2 reduced mod 2*pi. This is the signed-amplitude
-    closed form: when cos(phi12/2) and cos(phi23/2) have opposite signs the
-    phase extracted from the complex output bins differs from it by pi.
-    """
-    return Phase((float(phi12) + float(phi23)) / 2.0)

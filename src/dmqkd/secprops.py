@@ -22,7 +22,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from ._fanout import Crew, fan_out
 from .encoding import EncodingSymbol, PhasePair, encode_symbol
 from .errors import SampleSizeError, check_seed
-from .photonics import TWO_PI, Phase
+from .photonics import TWO_PI
 
 # Sizes and thresholds of run_verification: exact-check draws, samples per
 # statistical test, the uniformity p-value level, the mutual-information
@@ -41,14 +40,6 @@ P_THRESHOLD = 0.01
 MI_THRESHOLD = 0.01
 MI_BINS = 32
 _EXACT_BLOCK = 250  # draws per block of the exact check; 1,000 raised peak RSS
-
-
-@dataclass(frozen=True)
-class LeakagePhases:
-    """Relative phases between encoded bins and their adjoining random bins."""
-
-    phi_lr: Phase
-    phi_erp: Phase
 
 
 def r_bin_amplitude(pp: PhasePair, phi1: float, phi_rf: float, a: float) -> complex:
@@ -63,18 +54,6 @@ def r_bin_amplitude(pp: PhasePair, phi1: float, phi_rf: float, a: float) -> comp
         * cmath.exp(1j * (float(phi1) + float(pp.phi12) + float(pp.phi23)))
         * (1.0 + cmath.exp(1j * float(phi_rf)))
     )
-
-
-def leakage_phases(pp: PhasePair, phi_rp: float, phi_rf: float) -> LeakagePhases:
-    """Relative phases L-to-R and E-to-R_P.
-
-    phi_LR = (phi_rf + phi23)/2 and phi_ER_P = (phi_rp - phi12)/2, each with
-    the sum/difference reduced mod 2*pi before halving so the result is the
-    canonical axial representative in [0, pi).
-    """
-    lr = Phase(float(phi_rf) + float(pp.phi23))
-    erp = Phase(float(phi_rp) - float(pp.phi12))
-    return LeakagePhases(Phase(float(lr) / 2.0), Phase(float(erp) / 2.0))
 
 
 def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.max) -> np.ndarray:
@@ -167,7 +146,8 @@ def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> f
 def sample_phi_lr(
     phi23: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """phi_LR samples for phi23 (fixed, or one per sample) under uniformly random phi_rf."""
+    """phi_LR = (phi_rf + phi23)/2 for phi23 (fixed, or one per sample) under
+    uniformly random phi_rf, the sum reduced mod 2*pi before halving: in [0, pi)."""
     phi_rf = rng.uniform(0.0, TWO_PI, size=n)
     return _mod_two_pi(phi_rf + phi23) / 2.0
 
@@ -175,7 +155,7 @@ def sample_phi_lr(
 def sample_phi_erp(
     phi12: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """phi_ER_P samples for a fixed phi12 under uniformly random phi_rp."""
+    """phi_ER_P = (phi_rp - phi12)/2 for a fixed phi12 under uniformly random phi_rp."""
     phi_rp = rng.uniform(0.0, TWO_PI, size=n)
     return _mod_two_pi(phi_rp - float(phi12)) / 2.0
 

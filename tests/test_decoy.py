@@ -280,6 +280,18 @@ def test_bounds_sound_over_random_honest_links(params, intens, loss_db):
         assert b.e1_u >= 0.5 * (y0 / y1) + params.e_det * (eta / y1) - 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: 1 - e^(-eta*lambda) by subtraction loses all precision at "
+    "eta ~ 1e-15, and the e1 bound falls below the true e1"))
+def test_e1_bound_sound_at_tiny_detector_efficiency():
+    """A case of test_bounds_sound_over_random_honest_links: e1_u is 0.4565
+    against a true e1 of 0.5."""
+    params = LinkParams(det_efficiency=1e-15, dark_rate=0.0, window=0.0, e_det=0.5)
+    b = rate_at_loss(0.0, params, DecoyIntensities(0.375, 0.1875, 0.0))
+    assert b.y1_l > 0.0
+    assert b.e1_u >= 0.5 - 1e-12
+
+
 def test_rate_records_are_immutable_tuples():
     params, intens = LinkParams(), DecoyIntensities()
     b = rate_at_loss(15.0, params, intens)

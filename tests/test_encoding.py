@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -189,6 +190,13 @@ class TestCalibration:
         assert predicted_pulse_amplitude(0.8, cal) == pytest.approx(0.0, abs=1e-15)
         assert predicted_pulse_amplitude(0.4, cal) ** 2 == pytest.approx(0.5)
         assert predicted_pulse_amplitude(0.0, cal, a=2.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("v", [math.inf, math.nan, 1e308])
+    def test_voltage_with_no_finite_phase_rejected(self, v):
+        # 1e308 is finite, but 1e308 / 0.8 * pi overflows.
+        message = f"voltage {v!r} at v_pi=0.8 gives no finite phase"
+        with pytest.raises(ScheduleParseError, match=f"^{re.escape(message)}$"):
+            phase_for_voltage(v, CalibrationCurve(v_pi=0.8))
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -873,9 +881,12 @@ class TestScheduleValidation:
              "event at t=1e-10: unknown channel 3"),
             (lambda ev: ev[:3] + [replace(ev[3], start=1e-10)] + ev[4:],
              "overlapping events on channel slave_drive at t=1e-10"),
+            # A finite level whose phase overflows at v_pi = 0.8 V.
+            (lambda ev: ev[:2] + [replace(ev[2], level=1e308)] + ev[3:],
+             "voltage 1e+308 at v_pi=0.8 gives no finite phase"),
         ],
         ids=["empty", "nan-duplicate", "both-counts", "before-first", "stretched",
-             "unknown-channel", "overlap"],
+             "unknown-channel", "overlap", "level-without-finite-phase"],
     )
     def test_first_fault_message(self, edit, message):
         # Events of [Z0s, Y1s] in order: master, slave, perturbation, slave,

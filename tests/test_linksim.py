@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import sys
 import threading
 
@@ -333,6 +334,12 @@ class TestMonteCarlo:
                 100, params, intens,
                 state_probs={("signal", "Y"): 0.5, ("bright", "Z"): 0.5},
             )
+        # A row of probability 0 passes the sum check, so only the row check
+        # can refuse it.
+        probs = {**default_state_probs(params), ("decoy", "Y"): 0.0}
+        message = "unknown state rows in probabilities: [('decoy', 'Y')]"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            simulate_frames_mc(10**5, params, intens, probs)
 
     @pytest.mark.parametrize("n_frames", [1e5, 100.0, True, False, "100"])
     def test_non_integer_frame_count_rejected(self, n_frames):

@@ -16,7 +16,6 @@ from dmqkd.photonics import (
     amplitude_to_polar,
     amzi_transform,
     make_frame,
-    relative_phase_el,
 )
 
 
@@ -183,22 +182,3 @@ class TestAmziTransform:
         with pytest.raises(DmqkdError, match=re.escape(message)):
             amzi_transform(make_frame(1e308, 0.0, 0.0, 0.0, 1.0, 2.0))
 
-
-class TestRelativePhaseEl:
-    def test_z_and_y_values(self):
-        assert math.isclose(float(relative_phase_el(0.0, math.pi)), math.pi / 2.0)
-        assert math.isclose(float(relative_phase_el(math.pi, 0.0)), math.pi / 2.0)
-        half = math.pi / 2.0
-        assert math.isclose(float(relative_phase_el(half, half)), half)
-        three_half = 3.0 * math.pi / 2.0
-        assert math.isclose(float(relative_phase_el(three_half, three_half)), three_half)
-
-    def test_matches_extracted_phase_mod_pi(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            phi12, phi23 = rng.uniform(0.0, TWO_PI, size=2)
-            out = amzi_transform(make_frame(1.0, 0.0, phi12, phi23, 0.0, 0.0))
-            if abs(out.e) < 1e-6 or abs(out.l) < 1e-6:
-                continue
-            extracted = amplitude_to_polar(out.l).phi - amplitude_to_polar(out.e).phi
-            assert abs(math.sin(extracted - float(relative_phase_el(phi12, phi23)))) < 1e-9

@@ -22,7 +22,6 @@ from dmqkd.secprops import (
     _mod_two_pi,
     axial_uniformity_p,
     circular_uniformity_stat,
-    leakage_phases,
     mutual_information_bits,
     r_bin_amplitude,
     run_verification,
@@ -51,26 +50,23 @@ class TestRBinAmplitude:
 
 
 class TestLeakagePhases:
-    def test_values(self):
-        pp = encode_symbol(EncodingSymbol("Z", 0), SIGNAL_TABLE)  # (0, pi)
-        lp = leakage_phases(pp, phi_rp=1.0, phi_rf=0.0)
-        assert float(lp.phi_lr) == pytest.approx(math.pi / 2.0)
-        assert float(lp.phi_erp) == pytest.approx(0.5)
+    """The samplers are the one implementation of phi_LR = (phi_rf + phi23)/2
+    and phi_ER_P = (phi_rp - phi12)/2; each is checked against the same draws
+    from a generator of the same seed."""
 
-    def test_sum_reduced_before_halving(self):
-        pp = PhasePair(Phase(0.0), Phase(math.pi))
-        lp = leakage_phases(pp, phi_rp=0.0, phi_rf=3.0 * math.pi / 2.0)
-        # 3*pi/2 + pi reduces to pi/2 first, then halves to pi/4.
-        assert float(lp.phi_lr) == pytest.approx(math.pi / 4.0)
-
-    def test_axial_range(self):
-        rng = np.random.default_rng(6)
-        pairs = [encode_symbol(sym, SIGNAL_TABLE) for sym in BB84_SYMBOLS]
-        for _ in range(200):
-            pp = pairs[int(rng.integers(0, 4))]
-            lp = leakage_phases(pp, rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            assert 0.0 <= float(lp.phi_lr) < math.pi
-            assert 0.0 <= float(lp.phi_erp) < math.pi
+    @pytest.mark.parametrize("fixed", secprops.FIXED_ENCODING_PHASES)
+    def test_samplers_follow_the_formula(self, fixed):
+        pad = np.random.default_rng(6).uniform(0.0, TWO_PI, size=1000)
+        for sampler, sums in ((sample_phi_lr, pad + fixed), (sample_phi_erp, pad - fixed)):
+            got = sampler(fixed, pad.size, np.random.default_rng(6))
+            # Values from the formula, the sum reduced mod 2*pi before halving.
+            assert got.tolist() == [(x % TWO_PI) / 2.0 for x in sums.tolist()]
+            # A sum outside [0, 2*pi) halves to a value off by pi from the
+            # unreduced half-sum.
+            wrapped = (sums < 0.0) | (sums >= TWO_PI)
+            assert np.allclose(np.abs(got[wrapped] - sums[wrapped] / 2.0), math.pi)
+            # The axial range [0, pi).
+            assert ((0.0 <= got) & (got < math.pi)).all()
 
 
 class TestUniformityStats:
