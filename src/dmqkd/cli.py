@@ -163,11 +163,7 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     # Decoy bounds from the empirical Z-basis gains, next to the analytic ones.
     emp_rate = decoy.secure_key_rate(
-        tallies.gain_qber(("signal", "Z")),
-        tallies.gain_qber(("decoy", "Z")),
-        tallies.gain_qber(("vacuum", "Z")),
-        cfg.link,
-        cfg.intensities,
+        *map(tallies.gain_qber, linksim.STATE_ROWS[1:]), cfg.link, cfg.intensities
     )
     ana_rate = decoy.rate_at_loss(cfg.link.loss_db, cfg.link, cfg.intensities)
     report = {

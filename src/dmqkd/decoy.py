@@ -44,6 +44,7 @@ class SweepPoint(NamedTuple):
 # The bound formulas take the exponentials and intensity differences as
 # arguments, which a sweep computes once; the public bound_* check their inputs.
 def _h2(x: float) -> float:
+    """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -60,13 +61,6 @@ def _y1_l(q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_om
 
 def _e1_u(eq_nu, eq_omega, y1_l, exp_nu, exp_omega, nu_omega):
     return min(max((eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l), 0.0), 0.5)
-
-
-def binary_entropy(x: float) -> float:
-    """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
-    if not (0.0 <= x <= 1.0):
-        raise ConfigurationError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    return _h2(x)
 
 
 def bound_y0(q_nu: float, q_omega: float, nu: float, omega: float) -> float:

@@ -210,18 +210,6 @@ def phase_for_voltage(v: float, cal: CalibrationCurve) -> Phase:
     return Phase(phi)
 
 
-def predicted_pulse_amplitude(v: float, cal: CalibrationCurve, a: float = 1.0) -> float:
-    """Output-pulse amplitude versus perturbation voltage.
-
-    Composition of the linear voltage-to-phase map with the interference
-    cosine: A*|cos(pi*v / (2*v_pi))|, the curve traced in the intensity
-    calibration measurement (null at v_pi).
-    """
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ConfigurationError(f"voltage must be >= 0, got {v!r}")
-    return a * abs(math.cos(math.pi * v / (2.0 * cal.v_pi)))
-
-
 _Z_SIGNAL = {0: (Phase(0.0), Phase(math.pi)), 1: (Phase(math.pi), Phase(0.0))}
 _Y_SIGNAL = {
     0: (Phase(math.pi / 2.0), Phase(math.pi / 2.0)),
@@ -519,6 +507,7 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
 # --- symbol-stream mini-language --------------------------------------------
 
 _CLASS_CODES = {"s": SIGNAL, "d": DECOY, "v": VACUUM}
+_CLASS_TOKENS = {v: k for k, v in _CLASS_CODES.items()}
 
 
 def parse_symbol_token(token: str) -> EncodingSymbol:
@@ -547,5 +536,4 @@ def parse_symbol_stream(text: str) -> list[EncodingSymbol]:
 
 def symbol_token(sym: EncodingSymbol) -> str:
     """Inverse of parse_symbol_token."""
-    code = {v: k for k, v in _CLASS_CODES.items()}[sym.intensity_class]
-    return f"{sym.basis}{sym.bit}{code}"
+    return f"{sym.basis}{sym.bit}{_CLASS_TOKENS[sym.intensity_class]}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DmqkdError
@@ -42,14 +41,6 @@ class Phase(float):
 
     def __repr__(self) -> str:
         return f"Phase({float(self)!r})"
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Amplitude and phase of a coherent amplitude, r >= 0, phi in [0, 2*pi)."""
-
-    r: float
-    phi: Phase
 
 
 class PulseFrame(NamedTuple):
@@ -81,19 +72,6 @@ def _check_finite(bins: Iterable[complex], what: str = "amplitude") -> None:
     for z in bins:
         if not cmath.isfinite(z):
             raise DmqkdError(f"{what} must be finite, got {z!r}")
-
-
-def amplitude_to_polar(alpha: complex) -> PolarForm:
-    """Decompose a coherent amplitude into r >= 0 and a phase in [0, 2*pi).
-
-    A zero amplitude gets phase 0 by convention (the angle is undefined there).
-    """
-    alpha = complex(alpha)
-    _check_finite((alpha,))
-    r = abs(alpha)
-    if r == 0.0:
-        return PolarForm(0.0, Phase(0.0))
-    return PolarForm(r, Phase(cmath.phase(alpha)))
 
 
 def make_frame(

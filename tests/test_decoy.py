@@ -12,8 +12,8 @@ from dmqkd.decoy import (
     SWEEP_CSV_HEADER,
     RateBreakdown,
     SweepPoint,
+    _h2,
     analytic_class_gains,
-    binary_entropy,
     bound_e1,
     bound_y0,
     bound_y1,
@@ -36,21 +36,15 @@ from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams, with_loss
 
 class TestBinaryEntropy:
     def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == 1.0
+        assert _h2(0.0) == 0.0
+        assert _h2(1.0) == 0.0
+        assert _h2(0.5) == 1.0
 
     def test_known_value(self):
-        assert binary_entropy(0.033) == pytest.approx(0.2092204778691527, rel=1e-12)
+        assert _h2(0.033) == pytest.approx(0.2092204778691527, rel=1e-12)
 
     def test_symmetry(self):
-        assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8))
-
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            binary_entropy(-0.1)
-        with pytest.raises(ConfigurationError):
-            binary_entropy(1.1)
+        assert _h2(0.2) == pytest.approx(_h2(0.8))
 
 
 class TestBounds:
@@ -281,15 +275,26 @@ def test_bounds_sound_over_random_honest_links(params, intens, loss_db):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 8: 1 - e^(-eta*lambda) by subtraction loses all precision at "
-    "eta ~ 1e-15, and the e1 bound falls below the true e1"))
-def test_e1_bound_sound_at_tiny_detector_efficiency():
-    """A case of test_bounds_sound_over_random_honest_links: e1_u is 0.4565
-    against a true e1 of 0.5."""
-    params = LinkParams(det_efficiency=1e-15, dark_rate=0.0, window=0.0, e_det=0.5)
-    b = rate_at_loss(0.0, params, DecoyIntensities(0.375, 0.1875, 0.0))
+    "ROADMAP item 8: 1 - e^(-eta*lambda) by subtraction loses precision once "
+    "eta*lambda is far below 1, and the Y1 and e1 bounds cross the true values"))
+@pytest.mark.parametrize("params, intens, loss_db", [
+    (LinkParams(det_efficiency=1e-15, dark_rate=0.0, window=0.0, e_det=0.5),
+     DecoyIntensities(0.375, 0.1875, 0.0), 0.0),
+    (LinkParams(det_efficiency=3.4139404567989e-07, dark_rate=1.192092896e-07,
+                window=1.192092896e-07, p_y_alice=0.0, p_y_bob=0.0, e_det=0.0, f_ec=1.0,
+                y_receiver_factor=0.0),
+     DecoyIntensities(0.25, 0.0025, 0.0), 49.0),
+], ids=["eta-1e-15", "eta-mu-1e-12"])
+def test_e1_bound_sound_at_tiny_detector_efficiency(params, intens, loss_db):
+    """Cases of test_bounds_sound_over_random_honest_links whose bounds are
+    unsound: y1_l is 1.565 and 1.0019 times the true Y1, and e1_u is 0.45648
+    against a true e1 of 0.5 and 0.0032825 against 0.0032847."""
+    b = rate_at_loss(loss_db, params, intens)
+    y0, eta = params.y0, with_loss(params, loss_db).eta
+    y1 = y0 + eta
     assert b.y1_l > 0.0
-    assert b.e1_u >= 0.5 - 1e-12
+    assert b.y1_l <= y1 * (1.0 + 1e-9)
+    assert b.e1_u >= 0.5 * (y0 / y1) + params.e_det * (eta / y1) - 1e-12
 
 
 def test_rate_records_are_immutable_tuples():
@@ -337,6 +342,10 @@ def _oracle_class_gains(params, intens):
     return tuple(gains)
 
 
+def _oracle_h2(x):
+    return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
 def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
     y0_l = bound_y0(nu_gain.q, omega_gain.q, intens.nu, intens.omega)
     y1_l = bound_y1(
@@ -352,8 +361,8 @@ def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
     q_sift = params.p_y_alice * params.p_y_bob
     r_per_pulse = q_sift * max(
         0.0,
-        -mu_gain.q * params.f_ec * binary_entropy(mu_gain.e)
-        + q1_l * (1.0 - binary_entropy(e1_u)),
+        -mu_gain.q * params.f_ec * _oracle_h2(mu_gain.e)
+        + q1_l * (1.0 - _oracle_h2(e1_u)),
     )
     r_bps = r_per_pulse * params.clock * params.y_receiver_factor
     return _OracleRateBreakdown(

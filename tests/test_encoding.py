@@ -27,7 +27,6 @@ from dmqkd.encoding import (
     parse_symbol_stream,
     parse_symbol_token,
     phase_for_voltage,
-    predicted_pulse_amplitude,
     schedule_from_text,
     schedule_to_json,
     schedule_to_text,
@@ -35,7 +34,7 @@ from dmqkd.encoding import (
     voltage_for_phase,
 )
 from dmqkd.errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
-from dmqkd.photonics import Phase
+from dmqkd.photonics import Phase, amzi_transform, make_frame
 
 TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
 TOKENS = ("Z0s", "Z1s", "Y0s", "Y1s", "Z0d", "Z1d", "Z0v", "Z1v")
@@ -185,11 +184,22 @@ class TestCalibration:
         cal = CalibrationCurve(v_pi=0.8)
         assert voltage_for_phase(math.pi, cal) == pytest.approx(0.8)
 
-    def test_amplitude_null_and_half_power(self):
-        cal = CalibrationCurve(v_pi=0.8)
-        assert predicted_pulse_amplitude(0.8, cal) == pytest.approx(0.0, abs=1e-15)
-        assert predicted_pulse_amplitude(0.4, cal) ** 2 == pytest.approx(0.5)
-        assert predicted_pulse_amplitude(0.0, cal, a=2.0) == pytest.approx(2.0)
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("v_pi", [0.5, 0.8, 2.5])
+    def test_driven_amplitude_is_the_calibration_cosine(self, v_pi, a):
+        # The E bin interferes a pulse with the one whose phase step the
+        # voltage sets, so |E| = a*|cos(pi*v / (2*v_pi))|.
+        cal = CalibrationCurve(v_pi=v_pi)
+
+        def e_bin(v):
+            frame = make_frame(a, 0.0, phase_for_voltage(v, cal), 0.0, 0.0, 0.0)
+            return abs(amzi_transform(frame).e)
+
+        for v in np.linspace(0.0, 2.0 * v_pi, 41):
+            assert abs(e_bin(v) - a * abs(math.cos(math.pi * v / (2.0 * v_pi)))) < 1e-12
+        assert e_bin(0.0) == pytest.approx(a, abs=1e-12)
+        assert e_bin(v_pi) < 1e-12
+        assert abs(e_bin(v_pi / 2.0) ** 2 - 0.5 * a * a) < 1e-12
 
     @pytest.mark.parametrize("v", [math.inf, math.nan, 1e308])
     def test_voltage_with_no_finite_phase_rejected(self, v):
@@ -201,8 +211,6 @@ class TestCalibration:
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             CalibrationCurve(v_pi=0.0)
-        with pytest.raises(ConfigurationError):
-            predicted_pulse_amplitude(-0.1, CalibrationCurve())
 
 
 class TestTimingParams:

@@ -13,7 +13,6 @@ from dmqkd.errors import DmqkdError
 from dmqkd.photonics import (
     TWO_PI,
     Phase,
-    amplitude_to_polar,
     amzi_transform,
     make_frame,
 )
@@ -86,24 +85,6 @@ class TestPhase:
 
     def test_repr(self):
         assert repr(Phase(1.5)) == "Phase(1.5)"
-
-
-class TestPolar:
-    def test_known_value(self):
-        p = amplitude_to_polar(1.0 + 1.0j)
-        assert math.isclose(p.r, math.sqrt(2.0))
-        assert math.isclose(float(p.phi), math.pi / 4.0)
-
-    def test_zero_gets_phase_zero(self):
-        p = amplitude_to_polar(0.0)
-        assert p.r == 0.0 and float(p.phi) == 0.0
-
-    def test_negative_real_axis(self):
-        assert math.isclose(float(amplitude_to_polar(-2.0).phi), math.pi)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DmqkdError):
-            amplitude_to_polar(complex(float("nan"), 0.0))
 
 
 class TestAmziTransform:
