@@ -200,10 +200,10 @@ def read_user_file(path: Path, what: str) -> str:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Load a configuration from a .json file or the key-value text format."""
+    """Load a configuration from a .json file (any case) or the key-value text format."""
     path = Path(path)
     text = read_user_file(path, "config")
-    if path.suffix == ".json":
+    if path.suffix.lower() == ".json":
         try:
             flat = json.loads(text, object_pairs_hook=_unique_keys)
         except ConfigurationError:

@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import (
-    ConfigurationError,
-    DegenerateDecoyError,
-    ModelValidityError,
-    UndefinedBoundError,
-)
+from .errors import ConfigurationError, ModelValidityError
 from .linksim import (
     DecoyIntensities, GainQber, LinkParams, _check_loss_db, _clicks, _eta, _y1_denominator
 )
@@ -60,6 +55,8 @@ def _y1_l(q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_om
 
 
 def _e1_u(eq_nu, eq_omega, y1_l, exp_nu, exp_omega, nu_omega):
+    if y1_l <= 0.0:  # no single-photon yield to bound: assume the worst, e1 = 0.5
+        return 0.5
     return min(max((eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l), 0.0), 0.5)
 
 
@@ -69,7 +66,7 @@ def bound_y0(q_nu: float, q_omega: float, nu: float, omega: float) -> float:
     With omega = 0 this reduces to reading Y0 directly off the vacuum gain.
     """
     if not nu > omega >= 0.0:
-        raise DegenerateDecoyError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
+        raise ConfigurationError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
     return _y0_l(q_nu, q_omega, nu, omega, math.exp(nu), math.exp(omega), nu - omega)
 
 
@@ -97,13 +94,11 @@ def bound_e1(
     """Upper bound on the single-photon error rate, clamped to [0, 0.5].
 
     eq_nu and eq_omega are the error-gain products E*Q of the decoy and vacuum
-    classes. Undefined when the Y1 bound vanishes; callers must then treat the
-    key rate as zero.
+    classes. When the Y1 bound vanishes there is nothing to bound, and the
+    result is the worst case, 0.5.
     """
     if not nu > omega >= 0.0:
-        raise DegenerateDecoyError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
-    if y1_l <= 0.0:
-        raise UndefinedBoundError("e1 bound undefined for y1_l = 0")
+        raise ConfigurationError(f"need nu > omega >= 0, got nu={nu}, omega={omega}")
     return _e1_u(eq_nu, eq_omega, y1_l, math.exp(nu), math.exp(omega), nu - omega)
 
 
@@ -124,10 +119,7 @@ def _rate_of_gains(params: LinkParams, intens: DecoyIntensities) -> Callable[...
         y1_l = _y1_l(
             q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_omega2_mu2
         )
-        e1_u = (
-            _e1_u(e_nu * q_nu, e_omega * q_omega, y1_l, exp_nu, exp_omega, nu_omega)
-            if y1_l > 0.0 else 0.5
-        )
+        e1_u = _e1_u(e_nu * q_nu, e_omega * q_omega, y1_l, exp_nu, exp_omega, nu_omega)
         q1_l = y1_l * mu * exp_neg_mu
         r_per_pulse = q_sift * max(0.0, -q_mu * f_ec * _h2(e_mu) + q1_l * (1.0 - _h2(e1_u)))
         r_bps = r_per_pulse * clock * y_receiver_factor

@@ -186,11 +186,12 @@ def intensity_to_phase(fraction: float) -> Phase:
     """Phase step yielding an output bin at the given mean-photon-number fraction.
 
     Inverts |r/A|^2 = cos^2(phi/2): phi = 2*arccos(sqrt(fraction)). Monotone
-    decreasing in the fraction; fraction 1 maps to phase 0.
+    decreasing in the fraction; fraction 1 maps to exactly 0.0 and fraction 0
+    (a true vacuum) to exactly pi.
     """
-    if not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
+    if not (math.isfinite(fraction) and 0.0 <= fraction <= 1.0):
         raise ConfigurationError(
-            f"intensity fraction must lie in (0, 1], got {fraction!r}"
+            f"intensity fraction must lie in [0, 1], got {fraction!r}"
         )
     return Phase(2.0 * math.acos(math.sqrt(fraction)))
 
@@ -210,44 +211,29 @@ def phase_for_voltage(v: float, cal: CalibrationCurve) -> Phase:
     return Phase(phi)
 
 
-_Z_SIGNAL = {0: (Phase(0.0), Phase(math.pi)), 1: (Phase(math.pi), Phase(0.0))}
-_Y_SIGNAL = {
-    0: (Phase(math.pi / 2.0), Phase(math.pi / 2.0)),
-    1: (Phase(3.0 * math.pi / 2.0), Phase(3.0 * math.pi / 2.0)),
-}
-
-
 def encode_symbol(
     sym: EncodingSymbol, decoy_table: Mapping[str, float]
 ) -> PhasePair:
     """Phase pair realising a logical symbol.
 
-    Z-basis states put all light in one bin (the other suppressed with a pi
-    step); Y-basis states split it evenly with relative phase pi/2 or 3*pi/2.
-    Decoy/vacuum states dim the occupied bin to the intensity fraction given
-    by decoy_table (fractions of the signal intensity).
+    A Z-basis state puts the light of its class, the fraction of the signal
+    intensity given by decoy_table, in the bin of its bit, with a step of
+    intensity_to_phase(fraction) there and a pi step suppressing the other
+    bin; the signal (fraction 1.0) steps by 0. Y-basis states split the
+    signal evenly with relative phase pi/2 or 3*pi/2.
     """
     if sym.intensity_class not in decoy_table:
         raise ConfigurationError(
             f"decoy table has no entry for class {sym.intensity_class!r}"
         )
     fraction = decoy_table[sym.intensity_class]
-    if sym.intensity_class == SIGNAL:
-        if fraction != 1.0:
-            raise ConfigurationError(
-                f"signal intensity fraction must be 1.0, got {fraction!r}"
-            )
-        if sym.basis == "Y":
-            p12, p23 = _Y_SIGNAL[sym.bit]
-        else:
-            p12, p23 = _Z_SIGNAL[sym.bit]
-        return PhasePair(p12, p23)
-    # Dim classes keep the timing pattern of the Z signal states: the dim bin
-    # keeps its slot, the suppressed bin stays at pi.
+    if sym.intensity_class == SIGNAL and fraction != 1.0:
+        raise ConfigurationError(f"signal intensity fraction must be 1.0, got {fraction!r}")
+    if sym.basis == "Y":
+        phi = Phase(math.pi / 2.0 + math.pi * sym.bit)
+        return PhasePair(phi, phi)
     dim = intensity_to_phase(fraction)
-    if sym.bit == 0:
-        return PhasePair(dim, Phase(math.pi))
-    return PhasePair(Phase(math.pi), dim)
+    return PhasePair(dim, Phase(math.pi)) if sym.bit == 0 else PhasePair(Phase(math.pi), dim)
 
 
 def compile_schedule(

@@ -25,14 +25,6 @@ class ModelValidityError(DmqkdError, ValueError):
     """Parameters outside the regime where a model approximation holds."""
 
 
-class DegenerateDecoyError(ConfigurationError):
-    """Decoy intensities too close for the yield bounds to be defined."""
-
-
-class UndefinedBoundError(DmqkdError, ArithmeticError):
-    """A decoy bound that is undefined for the given inputs (e.g. Y1 = 0)."""
-
-
 class SampleSizeError(DmqkdError, ValueError):
     """Too few samples for a statistical test to be meaningful."""
 

@@ -44,6 +44,18 @@ class TestEncode:
         stream.write_text("# nothing\n")
         assert run("--out", str(tmp_path), "encode", str(stream)) == EXIT_USAGE
 
+    def test_true_vacuum_encodes_with_pi_in_both_slots(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("omega = 0.0\n")
+        stream = tmp_path / "stream.txt"
+        stream.write_text("Z0v Z1v Z0s\n")
+        code = run("--config", str(cfg), "--out", str(tmp_path), "encode", str(stream))
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == ["Z0v 3.141592653589793 3.141592653589793",
+                              "Z1v 3.141592653589793 3.141592653589793",
+                              "Z0s 0.0 3.141592653589793"]
+
     def test_y_basis_decoy_rejected(self, tmp_path):
         stream = tmp_path / "stream.txt"
         stream.write_text("Z0s Y0d\n")

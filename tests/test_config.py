@@ -138,10 +138,12 @@ class TestLoadConfig:
         path.write_text(config_to_text(RunConfig()))
         assert load_config(path) == RunConfig()
 
-    def test_json_file(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config_to_flat(RunConfig())))
-        assert load_config(path) == RunConfig()
+    @pytest.mark.parametrize("name", ["run.json", "run.JSON", "run.Json"])
+    def test_json_file(self, tmp_path, name):
+        cfg = RunConfig(mc=McSpec(seed=7))
+        path = tmp_path / name
+        path.write_text(json.dumps(config_to_flat(cfg)))
+        assert load_config(path) == cfg
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -24,13 +24,7 @@ from dmqkd.decoy import (
     sweep_loss,
     sweep_point_count,
 )
-from dmqkd.errors import (
-    ConfigurationError,
-    DegenerateDecoyError,
-    DmqkdError,
-    ModelValidityError,
-    UndefinedBoundError,
-)
+from dmqkd.errors import ConfigurationError, DmqkdError, ModelValidityError
 from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams, with_loss
 
 
@@ -55,7 +49,7 @@ class TestBounds:
         assert bound_y0(0.5, 0.0, 0.16, 0.015) == 0.0
 
     def test_y0_degenerate(self):
-        with pytest.raises(DegenerateDecoyError):
+        with pytest.raises(ConfigurationError, match=r"^need nu > omega >= 0"):
             bound_y0(0.01, 0.01, 0.16, 0.16)
 
     def test_y1_clamped(self):
@@ -79,15 +73,24 @@ class TestBounds:
         with pytest.raises(ConfigurationError, match=message):
             DecoyIntensities(mu, nu, omega)
 
-    def test_e1_undefined_for_zero_yield(self):
-        with pytest.raises(UndefinedBoundError):
-            bound_e1(1e-4, 1e-8, 0.16, 0.015, 0.0)
+    @pytest.mark.parametrize("y1_l", [0.0, -0.0, -1e-300])
+    def test_e1_is_half_for_zero_yield(self, y1_l):
+        assert bound_e1(1e-4, 1e-8, 0.16, 0.015, y1_l) == 0.5
+
+    def test_e1_at_zero_yield_is_what_the_rate_reports(self):
+        # These intensities clamp y1_l to 0 at the default link.
+        params, intens = LinkParams(), DecoyIntensities(1.0, 0.5, 0.4)
+        b = rate_at_loss(15.0, params, intens)
+        assert b.y1_l == 0.0
+        _, nu_g, om_g = analytic_class_gains(with_loss(params, 15.0), intens)
+        e1_u = bound_e1(nu_g.e * nu_g.q, om_g.e * om_g.q, intens.nu, intens.omega, b.y1_l)
+        assert e1_u == b.e1_u == 0.5
 
     def test_e1_clamped_to_half(self):
         assert bound_e1(0.5, 0.0, 0.16, 0.015, 1e-6) == 0.5
 
     def test_e1_degenerate(self):
-        with pytest.raises(DegenerateDecoyError):
+        with pytest.raises(ConfigurationError, match=r"^need nu > omega >= 0"):
             bound_e1(1e-4, 1e-8, 0.16, 0.16, 0.01)
 
 

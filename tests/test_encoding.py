@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dmqkd.config import RunConfig
 from dmqkd.encoding import (
     CH_MASTER,
     CH_PERT,
@@ -34,6 +36,7 @@ from dmqkd.encoding import (
     voltage_for_phase,
 )
 from dmqkd.errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
+from dmqkd.linksim import DecoyIntensities
 from dmqkd.photonics import Phase, amzi_transform, make_frame
 
 TABLE = {"signal": 1.0, "decoy": 0.4, "vacuum": 0.0375}
@@ -105,6 +108,19 @@ def timings(draw):
         assume(False)
 
 
+@st.composite
+def loadable_intensities(draw):
+    """DecoyIntensities that load, from tiny to the largest mu, with the true
+    vacuum omega = 0.0 drawn as often as a dim one."""
+    mu = draw(st.floats(1e-300, math.log(sys.float_info.max)))
+    nu = mu * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    omega = nu * draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    try:
+        return DecoyIntensities(mu, nu, omega)
+    except ConfigurationError:
+        assume(False)
+
+
 class TestEncodingSymbol:
     def test_valid(self):
         EncodingSymbol("Z", 0)
@@ -152,6 +168,28 @@ class TestEncodeSymbol:
         with pytest.raises(ConfigurationError):
             encode_symbol(EncodingSymbol("Z", 0), {"signal": 0.9})
 
+    @settings(max_examples=100, deadline=None)
+    @given(intens=loadable_intensities())
+    @example(intens=DecoyIntensities(0.4, 0.16, 0.0))
+    def test_every_loadable_intensity_set_encodes(self, intens):
+        """All eight symbols encode, survive the schedule's text round trip to
+        1e-12 rad, and each Z symbol's bin carries its class's fraction."""
+        table = RunConfig(intensities=intens).decoy_table()
+        stream = [parse_symbol_token(tok) for tok in TOKENS]
+        pairs = [encode_symbol(sym, table) for sym in stream]
+        timing, cal = TimingParams(), CalibrationCurve()
+        text = schedule_to_text(compile_schedule(stream, timing, cal, table))
+        back = decompile_schedule(schedule_from_text(text), timing, cal)
+        for sym, want, got in zip(stream, pairs, back):
+            for a, b in ((got.phi12, want.phi12), (got.phi23, want.phi23)):
+                gap = (float(a) - float(b)) % (2.0 * math.pi)
+                assert min(gap, 2.0 * math.pi - gap) <= 1e-12
+            if sym.basis == "Z":
+                out = amzi_transform(make_frame(1.0, 0.0, want.phi12, want.phi23, 0.0, 0.0))
+                occupied, dark = (out.e, out.l) if sym.bit == 0 else (out.l, out.e)
+                assert abs(occupied) ** 2 == pytest.approx(table[sym.intensity_class], abs=1e-12)
+                assert abs(dark) ** 2 <= 1e-12
+
 
 class TestIntensityToPhase:
     def test_known_value(self):
@@ -159,10 +197,11 @@ class TestIntensityToPhase:
 
     def test_endpoints_and_monotonicity(self):
         assert float(intensity_to_phase(1.0)) == 0.0
+        assert float(intensity_to_phase(0.0)) == math.pi
         assert float(intensity_to_phase(0.5)) == pytest.approx(math.pi / 2.0)
         assert float(intensity_to_phase(0.2)) > float(intensity_to_phase(0.4))
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_domain(self, bad):
         with pytest.raises(ConfigurationError):
             intensity_to_phase(bad)
