@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,8 @@ CH_PERT = "master_perturbation"
 CH_SLAVE = "slave_drive"
 _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 _CODES = {ch: code for code, ch in enumerate(_CHANNELS)}
+# An event line for np.loadtxt. No channel is 20 characters long, so a name cut to 20 matches none.
+_ROW = np.dtype([("channel", "U20"), ("start", float), ("duration", float), ("level", float)])
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
@@ -400,46 +403,43 @@ def schedule_to_text(sched: WaveformSchedule) -> str:
         sched.events, lambda ch: ch + " ", lambda ch, d, lv: f" {d!r} {lv!r}\n")])
 
 
-def _raise_first_bad_line(lines: list[str], first: int) -> None:
-    """Parse lines[first:] one at a time and raise at the first bad one, giving
-    its number counted from 1."""
+def _parse_lines(lines: list[str], first: int) -> tuple[np.ndarray, ...]:
+    """Code, start, duration and level of the event lines lines[first:], read one
+    at a time; ScheduleParseError names the first bad line, counted from 1."""
+    rows = []
     for lineno, parts in enumerate(map(str.split, lines[first:]), start=first + 1):
-        if parts and len(parts) != 4:
+        if not parts:
+            continue
+        if len(parts) != 4:
             raise ScheduleParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            problem = parts and _event_problem(parts[0], *map(float, parts[1:]))
+            numbers = tuple(map(float, parts[1:]))
         except ValueError as exc:
             raise ScheduleParseError(f"line {lineno}: bad number") from exc
-        if problem:
+        if problem := _event_problem(parts[0], *numbers):
             raise ScheduleParseError(f"line {lineno}: {problem}")
+        rows.append((_CODES[parts[0]], *numbers))
+    code, *floats = np.array(rows, float).reshape(-1, 4).T.copy()
+    return (code.astype(np.int8), *floats)
 
 
-def _columns(lines: list[str]) -> tuple[np.ndarray, ...]:
-    """Code, start, duration and level of event lines, converted column by
-    column; KeyError or ValueError if any line is bad."""
-    flat = " ".join(lines).split()
-    n = len(flat) // 4
-    values = {tok: float(tok) for tok in {*flat[2::4], *flat[3::4]}}  # a handful
-    code, start, duration, level = (
-        np.fromiter(map(_CODES.__getitem__, flat[::4]), np.int8, n),
-        np.fromiter(map(float, flat[1::4]), float, n),
-        *(np.fromiter(map(values.__getitem__, flat[k::4]), float, n) for k in (2, 3)))
-    # Only the n tokens flat[::4] name channels, as no name parses as a float.
-    # If n lines begin with a name and the rest are blank, each of those n
-    # tokens begins a line, so every line holds four tokens.
-    heads = list(map(str.lstrip, lines))
-    named = sum(map(str.startswith, heads, repeat(_CHANNELS)))
-    if len(flat) != 4 * n or not n == named == len(lines) - heads.count(""):
-        raise ValueError("bad event line")
-    return code, start, duration, level
+def _read_block(lines: list[str]) -> tuple[np.ndarray, ...]:
+    """Code, start, duration and level of event lines, read by np.loadtxt and
+    copied out of its rows; an unknown name gets a code the schedule refuses."""
+    if not any(map(str.strip, lines)):  # loadtxt warns when it reads no rows
+        return _parse_lines(lines, 0)
+    rows = np.loadtxt(lines, _ROW, comments=None, ndmin=1)
+    named = rows["channel"][:, None] == np.array(_CHANNELS)
+    code = np.where(named.any(axis=1), named.argmax(axis=1), len(_CHANNELS)).astype(np.int8)
+    return (code, *(rows[f].copy() for f in _ROW.names[1:]))
 
 
 def schedule_from_text(text: str) -> WaveformSchedule:
     """Parse the text form produced by schedule_to_text.
 
     Blank lines are skipped, and the first other line is the timing header.
-    The event lines are converted column by column; if that fails they are
-    read again one by one, to name the first bad line.
+    The event lines are read by np.loadtxt, or line by line where it refuses
+    one (`1_0`, say, which float reads) or they fail the schedule's checks.
     """
     lines = text.splitlines()
     first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
@@ -460,12 +460,12 @@ def schedule_from_text(text: str) -> WaveformSchedule:
         timing = TimingParams(**{name: kv[name] for name in _TIMING_FIELDS})
     except (KeyError, ConfigurationError) as exc:
         raise ScheduleParseError(f"invalid timing header: {exc}") from exc
-    body = lines[first + 1:]
-    try:  # in blocks of lines, to bound the memory the split tokens take
-        blocks = [_columns(body[i:i + 4096]) for i in range(0, max(len(body), 1), 4096)]
-        return WaveformSchedule(timing, EventColumns(*map(np.concatenate, zip(*blocks))))
-    except (KeyError, ValueError):  # ScheduleParseError is a ValueError
-        _raise_first_bad_line(lines, first + 1)
+    body = lines[first + 1:]  # read in blocks, to bound the memory the rows take
+    if "\0" not in text:  # numpy's str column would drop a name's trailing NULs
+        with suppress(ValueError):  # ScheduleParseError is a ValueError
+            blocks = [_read_block(body[i:i + 4096]) for i in range(0, max(len(body), 1), 4096)]
+            return WaveformSchedule(timing, EventColumns(*map(np.concatenate, zip(*blocks))))
+    return WaveformSchedule(timing, EventColumns(*_parse_lines(lines, first + 1)))
 
 
 def schedule_to_json(sched: WaveformSchedule) -> str:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -489,6 +490,51 @@ class TestScheduleSerialization:
         with pytest.raises(ScheduleParseError, match=f"^line {lineno}:"):
             schedule_from_text(text)
 
+    # Spellings that float reads and np.loadtxt may not: the line-by-line
+    # reader must return the schedule the ASCII text gives.
+    @pytest.mark.parametrize(
+        "ascii,spelt",
+        [("1.4e-09 1.0", "1.4e-0_9 1.0"), ("1.4e-09 1.0", "1.4e-09 1_0.0_0e-1"),
+         ("1.4e-09 1.0", "\uff11.4e-09 1.0"), ("1.4e-09 1.0", "1.4e-09 \u0661.0"),
+         ("master_drive 0.0", "master_drive\xa00.0"),
+         ("master_drive 0.0", "master_drive\u30000.0")],
+        ids=["underscore-exponent", "underscores", "fullwidth-one", "arabic-one", "nbsp",
+             "ideographic-space"],
+    )
+    def test_spellings_float_reads_give_the_ascii_schedule(self, ascii, spelt):
+        text = schedule_to_text(self._sched())
+        got = schedule_from_text(text.replace(ascii, spelt, 1))
+        assert isinstance(got, WaveformSchedule)
+        assert got == schedule_from_text(text)
+        assert schedule_to_text(got) == text
+
+    # The fast reader keeps the first 20 characters of a name, and numpy drops
+    # a string's trailing NULs.
+    @pytest.mark.parametrize("name", ["master_perturbation_x", "slave_drivex", "master_drive\x00",
+                                      "slave_drive\x00\x00", "master_perturbation" + "_" * 4])
+    def test_near_miss_channel_names_rejected(self, name):
+        lines = schedule_to_text(self._sched()).splitlines()
+        lines[3] = name + " " + lines[3].split(" ", 1)[1]
+        message = f"^line 4: unknown channel {re.escape(repr(name))}$"
+        with pytest.raises(ScheduleParseError, match=message):
+            schedule_from_text("\n".join(lines))
+
+    # A block of 4,096 lines with no event must not make np.loadtxt warn that
+    # it read no data.
+    @pytest.mark.parametrize(
+        "body,events",
+        [("", 0), ("\n", 0), ("\n\n \n\t\n\xa0\n", 0), ("\n" * 5000, 0),
+         ("\n" * 4097 + "master_drive 0.0 1.4e-09 1.0\n", 1)],
+        ids=["header-only", "one-blank-line", "blank-lines", "blank-blocks",
+             "blank-block-then-event"],
+    )
+    def test_header_and_blank_lines_parse_without_warning(self, body, events):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = schedule_from_text(_HEADER + body)
+        assert sched.timing == TimingParams()
+        assert len(sched.events) == events
+
     def test_starts_whose_difference_overflows_parse_without_warning(self):
         sched = schedule_from_text(
             _HEADER + "\nslave_drive 1e308 3e-10 1.0\nslave_drive -1e308 3e-10 1.0\n")
@@ -730,11 +776,15 @@ def _parse_by_lines(text):
     return _schedule(timing, events)
 
 
+_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
+
 def _edit_text(lines, data):
     """Apply one random edit to the lines of a schedule text, in place."""
     kind = data.draw(st.sampled_from(
         ("drop-field", "add-field", "bad-number", "non-finite", "channel", "blank", "tabs",
-         "leading-space", "duplicate")
+         "leading-space", "duplicate", "spelling")
     ))
     i = data.draw(st.integers(0, len(lines) - 1))
     parts = lines[i].split(" ")
@@ -758,9 +808,27 @@ def _edit_text(lines, data):
     elif kind == "leading-space":
         lines[i] = data.draw(st.sampled_from((" ", "\t", "   "))) + lines[i]
         return
-    else:
+    elif kind == "duplicate":
         lines.insert(i, lines[i])
         return
+    else:  # spellings that float or str.splitlines reads and np.loadtxt may not
+        how = data.draw(st.sampled_from(("number", "digits", "space", "break", "name")))
+        k = data.draw(st.integers(1, 3)) % len(parts)
+        if how == "number":
+            parts[k] = data.draw(st.sampled_from(("1_0", "\uff11", "\u0663")))
+        elif how == "digits":
+            parts[k] = parts[k].translate(data.draw(st.sampled_from((_FULLWIDTH, _ARABIC_INDIC))))
+        elif how == "space":
+            lines[i] = data.draw(st.sampled_from(("\xa0", "\u3000"))).join(parts)
+            return
+        elif how == "break":
+            j = data.draw(st.integers(0, len(lines[i])))
+            brk = data.draw(st.sampled_from(("\x0c", "\x1c", "\x85", "\r")))
+            lines[i] = lines[i][:j] + brk + lines[i][j:]
+            return
+        else:
+            parts[0] = data.draw(st.sampled_from(("master_perturbation_x", "slave_drivex",
+                                                  CH_MASTER + "\x00")))
     lines[i] = " ".join(parts)
 
 
