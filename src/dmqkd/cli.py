@@ -24,16 +24,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import config, decoy, linksim, secprops
+# encoding and secprops import numpy at load, so only the commands that use them import them.
+from . import config, decoy, linksim
 from .config import RunConfig
-from .encoding import (
-    compile_schedule,
-    encode_symbol,
-    parse_symbol_stream,
-    schedule_to_json,
-    schedule_to_text,
-    symbol_token,
-)
 from .errors import ConfigurationError, DmqkdError, ModelValidityError
 
 EXIT_OK = 0
@@ -91,6 +84,15 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .encoding import (
+        compile_schedule,
+        encode_symbol,
+        parse_symbol_stream,
+        schedule_to_json,
+        schedule_to_text,
+        symbol_token,
+    )
+
     symbols = parse_symbol_stream(config.read_user_file(args.stream, "symbol stream"))
     if not symbols:
         raise ConfigurationError(f"symbol stream {args.stream} is empty")
@@ -188,6 +190,8 @@ def cmd_mc(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import secprops
+
     report = secprops.run_verification(seed=cfg.mc.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "security_report.json"

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .decoy import sweep_point_count
-from .encoding import CalibrationCurve, TimingParams
 from .errors import ConfigurationError, check_seed
 from .linksim import DecoyIntensities, LinkParams, default_state_probs
+from .photonics import CalibrationCurve, TimingParams
 
 # Fewest and most frames an MC run may draw; the cap is tens of minutes of
 # sampling on a 2-core machine. The sweep's cap is decoy.MAX_SWEEP_POINTS.

@@ -5,7 +5,7 @@ three slave pulses, converts target intensity fractions to phases, translates
 phases into master-laser perturbation voltages through the linear V-pi
 calibration, and compiles symbol streams into timed electrical waveform
 schedules (master gate, two perturbations, three slave drive pulses per
-symbol).
+symbol). TimingParams and CalibrationCurve are defined in photonics.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
-from .photonics import Phase
+from .photonics import _TIMING_FIELDS, CalibrationCurve, Phase, TimingParams
 
 SIGNAL = "signal"
 DECOY = "decoy"
@@ -73,67 +73,6 @@ class PhasePair:
 
     phi12: Phase
     phi23: Phase
-
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Linear phase-vs-voltage calibration through the origin.
-
-    v_pi is the voltage producing a pi phase shift; the pulse intensity then
-    follows a cosine in the applied voltage.
-    """
-
-    v_pi: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.v_pi) and self.v_pi > 0.0):
-            raise ConfigurationError(f"v_pi must be > 0, got {self.v_pi!r}")
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    """Clock rate and event widths of the electrical drive scheme.
-
-    The slave laser emits exactly three pulses per master gate, so its rate is
-    three times the master rate and the AMZI delay equals one slave period;
-    both are derived from master_rate rather than stored.
-    """
-
-    master_rate: float = 2e9 / 3.0
-    perturbation_width: float = 150e-12
-    master_on_time: float = 1.4e-9
-    slave_on_time: float = 300e-12
-
-    def __post_init__(self) -> None:
-        for name in _TIMING_FIELDS:
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigurationError(f"{name} must be > 0, got {v!r}")
-        if self.master_on_time > 1.0 / self.master_rate:
-            raise ConfigurationError("master_on_time exceeds the master period")
-        if 2.0 * self.amzi_delay + self.slave_on_time > self.master_on_time:
-            raise ConfigurationError(
-                "three slave pulses do not fit inside the master on-window"
-            )
-        if self.perturbation_width >= self.amzi_delay:
-            raise ConfigurationError(
-                "perturbation_width must be shorter than the slave period"
-            )
-
-    @property
-    def slave_rate(self) -> float:
-        return 3.0 * self.master_rate
-
-    @property
-    def amzi_delay(self) -> float:
-        return 1.0 / self.slave_rate
-
-    @property
-    def symbol_period(self) -> float:
-        return 1.0 / self.master_rate
-
-
-_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams))
 
 
 class EventColumns:

@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ._fanout import Crew, fan_out
 from .errors import ConfigurationError, ModelValidityError, check_seed
 
@@ -242,6 +240,8 @@ def simulate_frames_mc(
     this process may use; the tallies are integer sums of the blocks' counts,
     so they do not depend on the number of threads.
     """
+    import numpy as np
+
     if isinstance(n_frames, bool) or not isinstance(n_frames, (int, np.integer)):
         raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
     if n_frames <= 0:

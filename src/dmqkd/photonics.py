@@ -10,15 +10,19 @@ The AMZI here is ideal: lossless, exactly 50:50, exact one-bin delay, and only
 the interference output port is modeled. Each output bin is half the sum of two
 adjacent input bins, so an input amplitude A gives output magnitudes
 A*|cos(dphi/2)|.
+
+The drive timing (TimingParams) and the V-pi calibration (CalibrationCurve)
+live here too, so a configuration loads without numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
-from .errors import DmqkdError
+from .errors import ConfigurationError, DmqkdError
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,3 +133,63 @@ def amzi_transform(frame: PulseFrame) -> OutputFrame:
         _check_finite(out, "AMZI output")
     return out
 
+
+@dataclass(frozen=True)
+class CalibrationCurve:
+    """Linear phase-vs-voltage calibration through the origin.
+
+    v_pi is the voltage producing a pi phase shift; the pulse intensity then
+    follows a cosine in the applied voltage.
+    """
+
+    v_pi: float = 0.8
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.v_pi) and self.v_pi > 0.0):
+            raise ConfigurationError(f"v_pi must be > 0, got {self.v_pi!r}")
+
+
+@dataclass(frozen=True)
+class TimingParams:
+    """Clock rate and event widths of the electrical drive scheme.
+
+    The slave laser emits exactly three pulses per master gate, so its rate is
+    three times the master rate and the AMZI delay equals one slave period;
+    both are derived from master_rate rather than stored.
+    """
+
+    master_rate: float = 2e9 / 3.0
+    perturbation_width: float = 150e-12
+    master_on_time: float = 1.4e-9
+    slave_on_time: float = 300e-12
+
+    def __post_init__(self) -> None:
+        for name in _TIMING_FIELDS:
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigurationError(f"{name} must be > 0, got {v!r}")
+        if self.master_on_time > 1.0 / self.master_rate:
+            raise ConfigurationError("master_on_time exceeds the master period")
+        if 2.0 * self.amzi_delay + self.slave_on_time > self.master_on_time:
+            raise ConfigurationError(
+                "three slave pulses do not fit inside the master on-window"
+            )
+        if self.perturbation_width >= self.amzi_delay:
+            raise ConfigurationError(
+                "perturbation_width must be shorter than the slave period"
+            )
+
+    @property
+    def slave_rate(self) -> float:
+        return 3.0 * self.master_rate
+
+    @property
+    def amzi_delay(self) -> float:
+        return 1.0 / self.slave_rate
+
+    @property
+    def symbol_period(self) -> float:
+        return 1.0 / self.master_rate
+
+
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams))

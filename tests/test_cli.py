@@ -2,12 +2,16 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmqkd
 from dmqkd.cli import EXIT_MODEL, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _build_parser, _load, main
 from dmqkd.config import RunConfig, config_from_flat, config_to_text
 from dmqkd.encoding import encode_symbol, parse_symbol_stream, symbol_token
@@ -287,6 +291,36 @@ class TestWriteDefaults:
         assert run("write-defaults", str(path)) == EXIT_OK
         assert run("--config", str(path), "--out", str(tmp_path),
                    "--loss-min", "15", "--loss-max", "15", "sweep") == EXIT_OK
+
+
+# Run in a fresh interpreter: the CLI, a config round trip and every command
+# that computes no arrays leave numpy unimported; encode then imports it.
+_NO_NUMPY_SCRIPT = """
+import sys
+from pathlib import Path
+from dmqkd.cli import main
+from dmqkd.config import RunConfig, config_to_text, load_config
+tmp = Path(sys.argv[1])
+(tmp / "cfg.txt").write_text(config_to_text(RunConfig()))
+assert load_config(tmp / "cfg.txt") == RunConfig()
+assert main(["write-defaults", str(tmp / "defaults.txt")]) == 0
+assert main(["--out", str(tmp), "sweep"]) == 0
+assert main(["--help"]) == 0
+assert main(["--frames", "5", "mc"]) == 1
+assert "numpy" not in sys.modules, "numpy imported"
+(tmp / "stream.txt").write_text("Z0s Y1s Z0d Z1v")
+assert main(["--out", str(tmp), "encode", str(tmp / "stream.txt")]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+class TestStartup:
+    def test_commands_without_arrays_leave_numpy_unimported(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(dmqkd.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").exists() and (tmp_path / "schedule.txt").exists()
 
 
 def load(*argv):

@@ -410,7 +410,7 @@ class TestWorkers:
             return default_rng(seed_seq)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^block 1 failed$"):
             simulate_frames_mc(4 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
@@ -426,7 +426,7 @@ class TestWorkers:
             return default_rng(seed_seq)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(linksim.np.random, "default_rng", failing_rng)
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
         with pytest.raises(RuntimeError, match="^block 0 failed$"):
             simulate_frames_mc(200 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
         # Worker 1 owns 100 blocks; it stops at its next block, not its last.

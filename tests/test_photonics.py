@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmqkd import photonics
+from dmqkd import encoding, photonics
+from dmqkd.config import RunConfig
 from dmqkd.errors import DmqkdError
 from dmqkd.photonics import (
     TWO_PI,
@@ -163,3 +164,10 @@ class TestAmziTransform:
         with pytest.raises(DmqkdError, match=re.escape(message)):
             amzi_transform(make_frame(1e308, 0.0, 0.0, 0.0, 1.0, 2.0))
 
+
+def test_encoding_reexports_the_timing_and_calibration_classes():
+    assert encoding.TimingParams is photonics.TimingParams
+    assert encoding.CalibrationCurve is photonics.CalibrationCurve
+    assert encoding._TIMING_FIELDS is photonics._TIMING_FIELDS
+    assert type(RunConfig().timing) is photonics.TimingParams
+    assert type(RunConfig().calibration) is photonics.CalibrationCurve
