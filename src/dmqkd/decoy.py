@@ -38,6 +38,10 @@ class SweepPoint(NamedTuple):
 
 # The bound formulas take the exponentials and intensity differences as
 # arguments, which a sweep computes once; the public bound_* check their inputs.
+# Every per-point clamp is a conditional expression, not a builtin min/max
+# call (the calls were a third of a sweep's time), and gives what the builtin
+# gives, NaN and -0.0 included: max keeps its first argument unless the second
+# is greater, min unless the second is less.
 def _h2(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
     if x == 0.0 or x == 1.0:
@@ -46,18 +50,22 @@ def _h2(x: float) -> float:
 
 
 def _y0_l(q_nu, q_omega, nu, omega, exp_nu, exp_omega, nu_omega):
-    return max((nu * q_omega * exp_omega - omega * q_nu * exp_nu) / nu_omega, 0.0)
+    y0 = (nu * q_omega * exp_omega - omega * q_nu * exp_nu) / nu_omega
+    return 0.0 if 0.0 > y0 else y0
 
 
 def _y1_l(q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_omega2_mu2):
-    y1 = q_nu * exp_nu - q_omega * exp_omega - nu2_omega2_mu2 * (q_mu * exp_mu - y0_l)
-    return min(max(mu_denom * y1, 0.0), 1.0)
+    y1 = mu_denom * (
+        q_nu * exp_nu - q_omega * exp_omega - nu2_omega2_mu2 * (q_mu * exp_mu - y0_l)
+    )
+    return 0.0 if 0.0 > y1 else 1.0 if 1.0 < y1 else y1
 
 
 def _e1_u(eq_nu, eq_omega, y1_l, exp_nu, exp_omega, nu_omega):
     if y1_l <= 0.0:  # no single-photon yield to bound: assume the worst, e1 = 0.5
         return 0.5
-    return min(max((eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l), 0.0), 0.5)
+    e1 = (eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l)
+    return 0.0 if 0.0 > e1 else 0.5 if 0.5 < e1 else e1
 
 
 def bound_y0(q_nu: float, q_omega: float, nu: float, omega: float) -> float:
@@ -121,7 +129,8 @@ def _rate_of_gains(params: LinkParams, intens: DecoyIntensities) -> Callable[...
         )
         e1_u = _e1_u(e_nu * q_nu, e_omega * q_omega, y1_l, exp_nu, exp_omega, nu_omega)
         q1_l = y1_l * mu * exp_neg_mu
-        r_per_pulse = q_sift * max(0.0, -q_mu * f_ec * _h2(e_mu) + q1_l * (1.0 - _h2(e1_u)))
+        bracket = -q_mu * f_ec * _h2(e_mu) + q1_l * (1.0 - _h2(e1_u))
+        r_per_pulse = q_sift * (bracket if bracket > 0.0 else 0.0)
         r_bps = r_per_pulse * clock * y_receiver_factor
         return new(RateBreakdown, (q_mu, e_mu, y0_l, y1_l, e1_u, q1_l, r_per_pulse, r_bps))
 
@@ -148,7 +157,8 @@ def _gain_qber(y0: float, e_det: float, sig: float) -> tuple[float, float]:
     q = y0 + sig  # >= 0, and 0 only on a dead channel
     if q > 1.0:
         raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-    return q, (min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5)
+    e = (0.5 * y0 + e_det * sig) / q if q > 0.0 else 0.5
+    return q, (1.0 if 1.0 < e else e)
 
 
 def analytic_class_gains(

@@ -36,6 +36,16 @@ STATE_ROWS: tuple[tuple[str, str], ...] = (
 DEFAULT_BLOCK_SIZE = 1 << 16
 
 
+def _row_index(key: tuple[str, str]) -> int:
+    """Position of key in STATE_ROWS; any other key is a ConfigurationError."""
+    try:
+        return STATE_ROWS.index(key)
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown state row {key!r}; STATE_ROWS are {STATE_ROWS}"
+        ) from None
+
+
 def _check_loss_db(loss_db: float) -> None:
     if not (math.isfinite(loss_db) and loss_db >= 0.0):
         raise ConfigurationError(f"loss_db must be >= 0, got {loss_db!r}")
@@ -165,7 +175,7 @@ class TallyCounts:
     )
 
     def gain_qber(self, key: tuple[str, str]) -> GainQber:
-        t = self.rows[key]
+        t = self.rows[STATE_ROWS[_row_index(key)]]
         q = t.detected / t.sent if t.sent else 0.0
         e = t.errors / t.detected if t.detected else 0.5
         return GainQber(q, e)
@@ -214,7 +224,7 @@ def expected_row_stats(
     coincidence term.
     """
     y0 = params.y0
-    p_sig = signal_click_probs(params, intens)[STATE_ROWS.index(key)]
+    p_sig = signal_click_probs(params, intens)[_row_index(key)]
     p_det = 1.0 - (1.0 - y0) * (1.0 - p_sig)
     if p_det <= 0.0:
         return GainQber(0.0, 0.5)

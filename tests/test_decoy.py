@@ -1,10 +1,11 @@
 import hashlib
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmqkd.decoy import (
@@ -12,7 +13,11 @@ from dmqkd.decoy import (
     SWEEP_CSV_HEADER,
     RateBreakdown,
     SweepPoint,
+    _e1_u,
+    _gain_qber,
     _h2,
+    _y0_l,
+    _y1_l,
     analytic_class_gains,
     bound_e1,
     bound_y0,
@@ -229,13 +234,32 @@ def test_sweep_rejects_a_negative_loss():
         sweep_loss(-1.0, 1.0, 0.5, LinkParams(), DecoyIntensities())
 
 
+def _sweep_csv_digest(loss_max, step, params, intens):
+    """SHA-256 of a sweep from 0 dB as `dmqkd sweep` writes it."""
+    csv = "\n".join(sweep_csv_lines(sweep_loss(0.0, loss_max, step, params, intens))) + "\n"
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
 def test_golden_sweep_csv():
-    """SHA-256 of the default 0-60 dB sweep at 0.01 dB as `dmqkd sweep` writes it."""
-    points = sweep_loss(0.0, 60.0, 0.01, LinkParams(), DecoyIntensities())
-    csv = "\n".join(sweep_csv_lines(points)) + "\n"
-    assert hashlib.sha256(csv.encode()).hexdigest() == (
+    """The default 0-60 dB sweep at 0.01 dB."""
+    assert _sweep_csv_digest(60.0, 0.01, LinkParams(), DecoyIntensities()) == (
         "261d5dc97fe6878164fe0aace5dc8575865aaf4e84dcb87bb02247b3b6daa6be"
     )
+
+
+@pytest.mark.parametrize("params, intens, digest", [
+    # A true vacuum class and no dark counts: the vacuum gain is 0, so y0_l is
+    # exactly +0.0 at every point, and the rate never reaches its cutoff.
+    (LinkParams(dark_rate=0.0), DecoyIntensities(omega=0.0),
+     "05c0ac13f387ed4e876ee3b65fc1760894ce39989d7cfc7c0aa99753207ffd81"),
+    # A dead channel: every gain is 0 with QBER 0.5, y1_l and the rate's
+    # bracket are exactly +0.0, and e1_u takes the worst case.
+    (LinkParams(det_efficiency=0.0, dark_rate=0.0), DecoyIntensities(),
+     "f160e36b88da7e36b7fcc813356c00c42df518eae7da3e8ad06ee7dcf9999b93"),
+], ids=["true-vacuum-no-darks", "dead-channel"])
+def test_golden_sweep_csv_at_the_clamp_edges(params, intens, digest):
+    """0-80 dB sweeps at 0.1 dB whose bounds sit on the clamps' edges."""
+    assert _sweep_csv_digest(80.0, 0.1, params, intens) == digest
 
 
 unit_floats = st.floats(0.0, 1.0)
@@ -333,16 +357,34 @@ class _OracleRateBreakdown:
 _OracleRateBreakdown.__name__ = _OracleRateBreakdown.__qualname__ = "RateBreakdown"
 
 
+# decoy's per-point formulas with the builtin min/max clamps that its
+# conditional expressions replaced, kept as their oracle.
+def _oracle_y0_l(q_nu, q_omega, nu, omega, exp_nu, exp_omega, nu_omega):
+    return max((nu * q_omega * exp_omega - omega * q_nu * exp_nu) / nu_omega, 0.0)
+
+
+def _oracle_y1_l(q_mu, q_nu, q_omega, y0_l, exp_mu, exp_nu, exp_omega, mu_denom, nu2_omega2_mu2):
+    y1 = q_nu * exp_nu - q_omega * exp_omega - nu2_omega2_mu2 * (q_mu * exp_mu - y0_l)
+    return min(max(mu_denom * y1, 0.0), 1.0)
+
+
+def _oracle_e1_u(eq_nu, eq_omega, y1_l, exp_nu, exp_omega, nu_omega):
+    if y1_l <= 0.0:
+        return 0.5
+    return min(max((eq_nu * exp_nu - eq_omega * exp_omega) / (nu_omega * y1_l), 0.0), 0.5)
+
+
+def _oracle_gain_qber(y0, e_det, sig):
+    q = y0 + sig
+    if q > 1.0:
+        raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
+    return q, (min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5)
+
+
 def _oracle_class_gains(params, intens):
     y0, e_det, eta = params.y0, params.e_det, params.eta
     mu, nu, omega = [1.0 - math.exp(-eta * lam) for lam in (intens.mu, intens.nu, intens.omega)]
-    gains = []
-    for sig in (mu, nu, omega):
-        q = y0 + sig
-        if q > 1.0:
-            raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-        gains.append(GainQber(q, min((0.5 * y0 + e_det * sig) / q, 1.0) if q > 0.0 else 0.5))
-    return tuple(gains)
+    return tuple(GainQber(*_oracle_gain_qber(y0, e_det, sig)) for sig in (mu, nu, omega))
 
 
 def _oracle_h2(x):
@@ -350,17 +392,18 @@ def _oracle_h2(x):
 
 
 def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
-    y0_l = bound_y0(nu_gain.q, omega_gain.q, intens.nu, intens.omega)
-    y1_l = bound_y1(
-        mu_gain.q, nu_gain.q, omega_gain.q, intens.mu, intens.nu, intens.omega, y0_l
+    mu, nu, omega = intens.mu, intens.nu, intens.omega
+    exp_mu, exp_nu, exp_omega = math.exp(mu), math.exp(nu), math.exp(omega)
+    y0_l = _oracle_y0_l(nu_gain.q, omega_gain.q, nu, omega, exp_nu, exp_omega, nu - omega)
+    y1_l = _oracle_y1_l(
+        mu_gain.q, nu_gain.q, omega_gain.q, y0_l, exp_mu, exp_nu, exp_omega,
+        mu / (mu * nu - mu * omega - nu * nu + omega * omega),
+        (nu * nu - omega * omega) / (mu * mu),
     )
-    if y1_l > 0.0:
-        e1_u = bound_e1(
-            nu_gain.e * nu_gain.q, omega_gain.e * omega_gain.q, intens.nu, intens.omega, y1_l
-        )
-    else:
-        e1_u = 0.5
-    q1_l = y1_l * intens.mu * math.exp(-intens.mu)
+    e1_u = _oracle_e1_u(
+        nu_gain.e * nu_gain.q, omega_gain.e * omega_gain.q, y1_l, exp_nu, exp_omega, nu - omega
+    )
+    q1_l = y1_l * mu * math.exp(-mu)
     q_sift = params.p_y_alice * params.p_y_bob
     r_per_pulse = q_sift * max(
         0.0,
@@ -381,8 +424,15 @@ def test_rate_matches_the_dataclass_oracle_bit_for_bit(params, e_det, intens, lo
     params = replace(params, e_det=e_det)
     at = with_loss(params, loss_db)
     gains = _oracle_class_gains(at, intens)
-    assert repr(rate_at_loss(loss_db, params, intens)) == repr(_oracle_rate(*gains, at, intens))
+    b = _oracle_rate(*gains, at, intens)
+    assert repr(rate_at_loss(loss_db, params, intens)) == repr(b)
     assert repr(analytic_class_gains(at, intens)) == repr(gains)
+    # The public bounds run the same formulas as the rate.
+    (mu_g, nu_g, om_g), nu, omega = gains, intens.nu, intens.omega
+    y0_l = bound_y0(nu_g.q, om_g.q, nu, omega)
+    y1_l = bound_y1(mu_g.q, nu_g.q, om_g.q, intens.mu, nu, omega, y0_l)
+    e1_u = bound_e1(nu_g.e * nu_g.q, om_g.e * om_g.q, nu, omega, y1_l)
+    assert repr((y0_l, y1_l, e1_u)) == repr((b.y0_l, b.y1_l, b.e1_u))
 
 
 def _oracle_sweep(loss_min, loss_max, step, params, intens):
@@ -412,6 +462,56 @@ def test_sweep_matches_the_point_by_point_oracle(params, e_det, intens, loss_min
     params = replace(params, e_det=e_det)
     args = (loss_min, loss_min + steps * step, step, params, intens)
     assert _outcome(sweep_loss, *args) == _outcome(_oracle_sweep, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(honest_links, decoy_intensities())
+def test_sweep_csv_matches_the_min_max_oracle(params, intens):
+    args = (0.0, 80.0, 0.5, params, intens)
+    assert sweep_csv_lines(sweep_loss(*args)) == sweep_csv_lines(_oracle_sweep(*args))
+
+
+# Floats at and around every clamp edge, the specials included.
+any_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+    st.floats(),
+)
+# GainQber refuses non-finite and out-of-range values; secure_key_rate reads
+# only .q and .e.
+_AnyGain = namedtuple("_AnyGain", "q e")
+
+
+def _result(f, *args):
+    """repr of f(*args), or the type and message of the arithmetic, domain or
+    model error it raised."""
+    try:
+        return repr(f(*args))
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(any_floats, min_size=9, max_size=9))
+@example([0.05, 0.5, 0.96] + [1.0] * 6)  # Y0 + sig = 1.01: ModelValidityError
+@example([0.0, 0.0, math.inf] + [1.0] * 6)
+def test_clamps_match_the_builtin_min_max_oracle(xs):
+    for clamped, oracle, n_args in [
+        (_y0_l, _oracle_y0_l, 7),
+        (_y1_l, _oracle_y1_l, 9),
+        (_e1_u, _oracle_e1_u, 6),
+        (_gain_qber, _oracle_gain_qber, 3),
+    ]:
+        assert _result(clamped, *xs[:n_args]) == _result(oracle, *xs[:n_args])
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_links, decoy_intensities(), st.lists(any_floats, min_size=6, max_size=6))
+def test_rate_of_any_gains_matches_the_builtin_min_max_oracle(params, intens, xs):
+    gains = [_AnyGain(q, e) for q, e in zip(xs[::2], xs[1::2])]
+    assert _result(secure_key_rate, *gains, params, intens) == _result(
+        _oracle_rate, *gains, params, intens
+    )
 
 
 _DBL_MAX = sys.float_info.max

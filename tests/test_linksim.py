@@ -137,6 +137,12 @@ class TestStateProbs:
             default_state_probs(LinkParams(), z_mix=(0.0, 0.0, 0.0))
 
 
+_UNKNOWN_ROW = (
+    r"^unknown state row \('decoy', 'Y'\); STATE_ROWS are \(\('signal', 'Y'\), "
+    r"\('signal', 'Z'\), \('decoy', 'Z'\), \('vacuum', 'Z'\)\)$"
+)
+
+
 class TestExpectedRowStats:
     def test_z_rows_match_analytic_gains(self):
         params, intens = LinkParams(), DecoyIntensities()
@@ -152,6 +158,10 @@ class TestExpectedRowStats:
         y = expected_row_stats(("signal", "Y"), params, intens)
         z = expected_row_stats(("signal", "Z"), params, intens)
         assert (y.q - params.y0) / (z.q - params.y0) == pytest.approx(0.5, abs=1e-6)
+
+    def test_unknown_row_names_the_rows(self):
+        with pytest.raises(ConfigurationError, match=_UNKNOWN_ROW):
+            expected_row_stats(("decoy", "Y"), LinkParams(), DecoyIntensities())
 
 
 def _simulate_block(
@@ -316,6 +326,10 @@ class TestMonteCarlo:
         tallies = TallyCounts()
         g = tallies.gain_qber(("signal", "Z"))
         assert g.q == 0.0 and g.e == 0.5
+
+    def test_gain_qber_of_an_unknown_row_names_the_rows(self):
+        with pytest.raises(ConfigurationError, match=_UNKNOWN_ROW):
+            TallyCounts().gain_qber(("decoy", "Y"))
 
     def test_csv_rows(self):
         tallies = TallyCounts()
