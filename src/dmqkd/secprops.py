@@ -22,7 +22,7 @@ import cmath
 import functools
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,21 +72,22 @@ def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.m
     return arr
 
 
-def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
-    """Rayleigh test of circular uniformity: returns (z, p).
+def _rayleigh_input(samples: Sequence[float], bound: float) -> np.ndarray:
+    """samples as _finite checks them, or SampleSizeError if fewer than 100."""
+    arr = _finite(samples, "samples", bound)
+    if arr.size < 100:
+        raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
+    return arr
 
-    z = n * Rbar^2 with Rbar the mean resultant length;
-    p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity.
-    """
-    arr = _finite(samples, "samples")
-    n = arr.size
-    if n < 100:
-        raise SampleSizeError(f"need at least 100 samples, got {n}")
-    # cos and sin written into one complex buffer equal np.exp(1j * arr) bit
-    # for bit, and its complex mean sums in the same order.
-    unit = np.empty(arr.shape, dtype=complex)
-    np.cos(arr, out=unit.real)
-    np.sin(arr, out=unit.imag)
+
+def _rayleigh(angles: np.ndarray, unit: np.ndarray) -> tuple[float, float]:
+    """circular_uniformity_stat of finite angles, at least 100, with unit a
+    complex buffer of their shape for their unit vectors."""
+    # cos and sin written into one complex buffer equal np.exp(1j * angles)
+    # bit for bit, and its complex mean sums in the same order.
+    np.cos(angles, out=unit.real)
+    np.sin(angles, out=unit.imag)
+    n = angles.size
     rbar = float(abs(unit.mean()))
     z = n * rbar * rbar
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
@@ -94,22 +95,53 @@ def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
     return z, min(max(0.0, p), 1.0)
 
 
-def _mod_two_pi(x: np.ndarray) -> np.ndarray:
-    """np.remainder(x, TWO_PI) bit for bit. On (-2*pi, 4*pi) that is x + 2*pi,
-    x - 2*pi (exact by Sterbenz's lemma) or x + 0.0 (-0.0 becomes +0.0), which
-    costs less than np.remainder's divmod; any other input goes to it."""
+def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
+    """Rayleigh test of circular uniformity: returns (z, p).
+
+    z = n * Rbar^2 with Rbar the mean resultant length;
+    p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity.
+    """
+    arr = _rayleigh_input(samples, sys.float_info.max)
+    return _rayleigh(arr, np.empty(arr.shape, dtype=complex))
+
+
+def _mod_two_pi(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    turns: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """np.remainder(x, TWO_PI, out=out) bit for bit; out may be x. On
+    (-2*pi, 4*pi) that is x + 2*pi, x - 2*pi (exact by Sterbenz's lemma) or
+    x + 0.0 (-0.0 becomes +0.0), which costs less than np.remainder's divmod;
+    turns (float) and mask (bool) are scratch of x's shape, made if None.
+    Any other input goes to np.remainder."""
     if x.size and -TWO_PI < x.min() and x.max() < 2.0 * TWO_PI:
-        turns = (x < 0.0).astype(float)
-        turns -= x >= TWO_PI
-        return x + turns * TWO_PI
-    return np.remainder(x, TWO_PI)
+        turns = np.less(x, 0.0, out=np.empty(x.shape) if turns is None else turns)
+        turns -= np.greater_equal(x, TWO_PI, out=mask)
+        turns *= TWO_PI
+        return np.add(x, turns, out=out)
+    return np.remainder(x, TWO_PI, out=out)
+
+
+def _axial_p(
+    samples: np.ndarray,
+    unit: np.ndarray,
+    turns: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> float:
+    """axial_uniformity_p of finite samples, at least 100, which it doubles
+    in place; unit, turns and mask are buffers as for _rayleigh and
+    _mod_two_pi, and turns may share unit's memory."""
+    samples *= 2.0
+    _, p = _rayleigh(_mod_two_pi(samples, samples, turns, mask), unit)
+    return p
 
 
 def axial_uniformity_p(samples: Sequence[float]) -> float:
     """Rayleigh p-value on the doubled angles (axial-data convention)."""
-    doubled = _mod_two_pi(2.0 * _finite(samples, "samples", sys.float_info.max / 2.0))
-    _, p = circular_uniformity_stat(doubled)
-    return p
+    arr = _rayleigh_input(samples, sys.float_info.max / 2.0)
+    return _axial_p(arr.copy(), np.empty(arr.shape, dtype=complex))
 
 
 def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
@@ -143,21 +175,39 @@ def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> f
     return float(np.nansum(terms))
 
 
+def _padded_half_angles(
+    shift: float | np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray,
+    turns: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """(pad + shift) mod 2*pi, halved, for pads uniform on [0, 2*pi), written
+    into out; turns and mask are _mod_two_pi's scratch. The pads are
+    rng.random times TWO_PI: rng.uniform(0.0, TWO_PI, size=out.size) computes
+    0.0 + TWO_PI * rng.random() each, so they are its draws bit for bit and
+    leave the generator in the same state."""
+    np.multiply(rng.random(out=out), TWO_PI, out=out)
+    out += shift
+    _mod_two_pi(out, out, turns, mask)
+    out /= 2.0
+    return out
+
+
 def sample_phi_lr(
     phi23: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """phi_LR = (phi_rf + phi23)/2 for phi23 (fixed, or one per sample) under
     uniformly random phi_rf, the sum reduced mod 2*pi before halving: in [0, pi)."""
-    phi_rf = rng.uniform(0.0, TWO_PI, size=n)
-    return _mod_two_pi(phi_rf + phi23) / 2.0
+    return _padded_half_angles(phi23, rng, np.empty(n))
 
 
 def sample_phi_erp(
     phi12: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """phi_ER_P = (phi_rp - phi12)/2 for a fixed phi12 under uniformly random phi_rp."""
-    phi_rp = rng.uniform(0.0, TWO_PI, size=n)
-    return _mod_two_pi(phi_rp - float(phi12)) / 2.0
+    """phi_ER_P = (phi_rp - phi12)/2 for a fixed phi12 under uniformly random
+    phi_rp; phi_rp - phi12 is phi_rp + (-phi12) bit for bit."""
+    return _padded_half_angles(-float(phi12), rng, np.empty(n))
 
 
 BB84_SYMBOLS = (
@@ -196,9 +246,25 @@ def _exact_invariance(draws: np.ndarray) -> dict:
     }
 
 
-def _uniformity(name: str, samples: np.ndarray) -> dict:
+class _Buffers(NamedTuple):
+    """One run_verification worker's arrays for its statistical tests, freed
+    when the call returns: their samples, the bool mask of _mod_two_pi and
+    the unit vectors of _rayleigh. The float turns of _mod_two_pi share the
+    unit vectors' memory, which a test writes only after its last reduction
+    mod 2*pi."""
+
+    samples: np.ndarray
+    mask: np.ndarray
+    unit: np.ndarray
+
+    @property
+    def turns(self) -> np.ndarray:
+        return self.unit.view(np.float64)[: self.samples.size]
+
+
+def _uniformity(name: str, samples: np.ndarray, bufs: _Buffers) -> dict:
     """One-time-pad uniformity of leakage phases at one fixed setting."""
-    p = axial_uniformity_p(samples)
+    p = _axial_p(samples, bufs.unit, bufs.turns, bufs.mask)
     return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": samples.size}
 
 
@@ -220,11 +286,14 @@ def _bit_phase_independence(bits_and_phases: tuple[np.ndarray, np.ndarray]) -> d
     }
 
 
-def _negative_control(padding: np.ndarray) -> dict:
+def _negative_control(padding: np.ndarray, bufs: _Buffers) -> dict:
     """A padding phase concentrated around 0 leaks, and the uniformity test
-    must detect it."""
-    concentrated = _mod_two_pi(_mod_two_pi(padding) + math.pi) / 2.0
-    p = axial_uniformity_p(concentrated)
+    must detect it. The test overwrites padding."""
+    concentrated = _mod_two_pi(padding, padding, bufs.turns, bufs.mask)
+    concentrated += math.pi
+    _mod_two_pi(concentrated, concentrated, bufs.turns, bufs.mask)
+    concentrated /= 2.0
+    p = _axial_p(concentrated, bufs.unit, bufs.turns, bufs.mask)
     return {
         "name": "negative_control_nonuniform_detected",
         "passed": p < P_THRESHOLD,
@@ -249,22 +318,40 @@ def run_verification(seed: int = 0) -> dict:
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    tasks = [(lambda: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)), _exact_invariance)]
-    for name, sampler in (("phi_lr", sample_phi_lr), ("phi_erp", sample_phi_erp)):
+    # Each task is draw(bufs) and test(drawn, bufs), given the buffers of the
+    # worker that runs it.
+    tasks = [(lambda bufs: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)),
+              lambda draws, bufs: _exact_invariance(draws))]
+    # phi_LR pads +phi23 and phi_ER_P pads -phi12, as sample_phi_lr and
+    # sample_phi_erp do.
+    for name, sign in (("phi_lr", 1.0), ("phi_erp", -1.0)):
         for fixed in FIXED_ENCODING_PHASES:
             tasks.append((
-                functools.partial(sampler, fixed, N_UNIFORM, rng),
+                lambda bufs, shift=sign * fixed: _padded_half_angles(
+                    shift, rng, bufs.samples, bufs.turns, bufs.mask),
                 functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi"),
             ))
-    tasks.append((functools.partial(_bits_and_phi_lr, rng), _bit_phase_independence))
-    tasks.append((lambda: rng.normal(0.0, 0.3, size=N_UNIFORM), _negative_control))
+    tasks.append((lambda bufs: _bits_and_phi_lr(rng),
+                  lambda drawn, bufs: _bit_phase_independence(drawn)))
+    # standard_normal times 0.3 leaves the generator as normal(0.0, 0.3) does
+    # and is its draws bit for bit, but for the sign of an exact zero: normal
+    # computes 0.0 + 0.3 * standard_normal(), and the control's first
+    # reduction mod 2*pi clears that sign too.
+    tasks.append((lambda bufs: np.multiply(rng.standard_normal(out=bufs.samples), 0.3,
+                                           out=bufs.samples),
+                  _negative_control))
     properties: list = [None] * len(tasks)
 
     def run(first: int, crew: Crew) -> None:
         # Each test runs outside the turn, in parallel with the next draws.
+        # Every test of this worker runs in these buffers from draw to
+        # p-value: arrays made and freed per test were faulted in afresh by
+        # each test, since glibc hands freed ones back to the kernel.
+        bufs = _Buffers(np.empty(N_UNIFORM), np.empty(N_UNIFORM, dtype=bool),
+                        np.empty(N_UNIFORM, dtype=complex))
         for i in range(first, len(tasks), crew.workers):
             draw, test = tasks[i]
-            properties[i] = test(crew.in_turn(i, draw))
+            properties[i] = test(crew.in_turn(i, functools.partial(draw, bufs)), bufs)
 
     fan_out(len(tasks), run)
     return {

@@ -260,11 +260,20 @@ def _mod_inputs(draw):
 @given(_mod_inputs())
 def test_mod_two_pi_matches_np_remainder_bit_for_bit(x):
     with np.errstate(invalid="ignore"):
-        got, want = _mod_two_pi(x), np.remainder(x, TWO_PI)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+        want = np.remainder(x, TWO_PI)
+        # In place, out aliasing x, with dirty scratch of both kinds: the
+        # turns are the first half of a complex buffer, as in the workers.
+        in_place = x.copy()
+        unit = np.full(x.shape, complex(math.nan, math.nan))
+        scratch = unit.view(np.float64)[: x.size]
+        mask = np.ones(x.shape, dtype=bool)
+        results = [_mod_two_pi(x), _mod_two_pi(in_place, in_place, scratch, mask)]
+    assert results[1] is in_place
+    for got in results:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 class TestMutualInformation:
@@ -294,6 +303,42 @@ class TestSamplers:
         a = sample_phi_lr(0.0, 1000, np.random.default_rng(9))
         b = sample_phi_lr(0.0, 1000, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.one_of(st.integers(100, 3000), st.just(secprops.N_UNIFORM)))
+def test_worker_buffers_match_the_allocating_functions_bit_for_bit(seed, n):
+    """One set of worker buffers, dirty from the test before, run through
+    every fixed phase of both samplers and then the negative control: each
+    draw equals sample_phi_* and the formula over rng.uniform, each p-value
+    equals axial_uniformity_p's, and each generator ends in the same state."""
+    bufs = secprops._Buffers(np.full(n, math.nan), np.ones(n, dtype=bool),
+                             np.full(n, complex(math.nan, math.nan)))
+
+    def same_bits(a, b):
+        return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    buffered, allocating, formula = (np.random.default_rng(seed) for _ in range(3))
+    for sampler, sign in ((sample_phi_lr, 1.0), (sample_phi_erp, -1.0)):
+        for fixed in secprops.FIXED_ENCODING_PHASES:
+            drawn = secprops._padded_half_angles(sign * fixed, buffered, bufs.samples,
+                                                 bufs.turns, bufs.mask)
+            want = sampler(fixed, n, allocating)
+            pads = formula.uniform(0.0, TWO_PI, size=n)
+            assert same_bits(drawn, want)
+            assert same_bits(want, np.remainder(pads + sign * fixed, TWO_PI) / 2.0)
+            p = secprops._uniformity("u", drawn, bufs)["p_value"]
+            assert repr(p) == repr(axial_uniformity_p(want))
+            assert repr(p) == repr(_rayleigh_by_exp(np.remainder(2.0 * want, TWO_PI))[1])
+            assert buffered.bit_generator.state == allocating.bit_generator.state
+            assert buffered.bit_generator.state == formula.bit_generator.state
+    padding = np.multiply(buffered.standard_normal(out=bufs.samples), 0.3, out=bufs.samples)
+    want = formula.normal(0.0, 0.3, size=n)
+    assert same_bits(padding, want)
+    assert buffered.bit_generator.state == formula.bit_generator.state
+    p = secprops._negative_control(padding, bufs)["p_value"]
+    concentrated = np.remainder(np.remainder(want, TWO_PI) + math.pi, TWO_PI) / 2.0
+    assert repr(p) == repr(axial_uniformity_p(concentrated))
 
 
 class TestRunVerification:
@@ -420,23 +465,25 @@ class TestVerificationWorkers:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, cpus):
-        # The third phi_ER_P draw raises while its task holds the turn; the
-        # tasks after it wait for a turn that never comes until the stop.
-        sample, calls = secprops.sample_phi_erp, []
+        # The third phi_ER_P draw, the seventh padded one, raises while its
+        # task holds the turn; the tasks after it wait for a turn that never
+        # comes until the stop.
+        draw, calls = secprops._padded_half_angles, []
 
-        def failing(*args):
-            calls.append(args)
-            if len(calls) == 3:
+        def failing(shift, *args):
+            calls.append(shift)
+            if len(calls) == 7:
                 time.sleep(0.1)  # so that the other workers are waiting
                 raise RuntimeError("third phi_erp draw failed")
-            return sample(*args)
+            return draw(shift, *args)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "sample_phi_erp", failing)
+        monkeypatch.setattr(secprops, "_padded_half_angles", failing)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
         assert isinstance(exc, RuntimeError) and str(exc) == "third phi_erp draw failed"
-        assert len(calls) == 3
+        fixed = secprops.FIXED_ENCODING_PHASES
+        assert calls == list(fixed) + [-fixed[0], -fixed[1], -fixed[2]]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -455,20 +502,20 @@ class TestVerificationWorkers:
     def test_an_interrupt_in_the_calling_thread_stops_the_others(self, monkeypatch, cpus):
         # The calling thread runs task 0, so the other workers draw ahead and
         # then wait for a turn that the interrupted thread would have taken.
-        tested, uniformity = threading.Event(), secprops.axial_uniformity_p
+        tested, uniformity = threading.Event(), secprops._axial_p
 
-        def test_then_signal(samples):
-            p = uniformity(samples)
+        def test_then_signal(*args):
+            p = uniformity(*args)
             tested.set()
             return p
 
         def interrupted(draws):
-            tested.wait(10.0)
+            assert tested.wait(10.0), "no uniformity test ran"
             time.sleep(0.1)  # so that the other workers are waiting
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "axial_uniformity_p", test_then_signal)
+        monkeypatch.setattr(secprops, "_axial_p", test_then_signal)
         monkeypatch.setattr(secprops, "_exact_invariance", interrupted)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
