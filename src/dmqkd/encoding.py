@@ -14,7 +14,6 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +36,8 @@ _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 _CODES = {ch: code for code, ch in enumerate(_CHANNELS)}
 # An event line for np.loadtxt. No channel is 20 characters long, so a name cut to 20 matches none.
 _ROW = np.dtype([("channel", "U20"), ("start", float), ("duration", float), ("level", float)])
+# Characters of schedule text split into lines at a time (plus the rest of a line).
+_CHUNK = 1 << 16
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
@@ -307,26 +308,46 @@ def decompile_schedule(
 # --- serialization -----------------------------------------------------------
 
 def _row_pieces(ev: EventColumns, head, tail) -> list[str]:
-    """head(channel), start and tail(channel, duration, level) for every event,
-    to be joined. head and tail are made once per distinct (channel, duration,
-    level), told apart by their bits so that -0.0 is not 0.0. That grouping
-    and the reprs of the starts are made once per schedule, for both writers."""
+    """head(channel), start and tail(channel, duration, level) of every event,
+    to be joined: the first event's head, then two pieces per event, its start
+    and its tail joined to the next event's head (the last event's tail
+    alone). head and tail are made once per group, a distinct (channel,
+    duration, level) told apart by its bits so that -0.0 is not 0.0, and each
+    joined separator once per distinct pair of adjacent groups. The groups,
+    the pairs and the reprs of the starts are made once per schedule, for
+    both writers."""
+    n = len(ev)
+    if not n:
+        return []
     if ev._text_parts is None:
         cols = (ev.level.view(np.int64), ev.duration.view(np.int64), ev.code)
         order = np.lexsort(cols)
-        new = np.zeros(len(order), dtype=bool)  # where a group begins, in sorted order
+        new = np.zeros(n, dtype=bool)  # where a group begins, in sorted order
         new[:1] = True
         for col in cols:
             new[1:] |= col[order][1:] != col[order][:-1]
-        key = np.empty(len(order), dtype=np.intp)
+        key = np.empty(n, dtype=np.intp)
         key[order] = np.cumsum(new) - 1
-        ev._text_parts = (list(map(repr, ev.start.tolist())), order[new], key.tolist())
-    reprs, first, key = ev._text_parts
+        groups = int(np.count_nonzero(new))
+        adjacent = key[:-1] * groups + key[1:]
+        # Sorted, deduplicated (keys are >= 0) and searched: np.unique costs 3x more.
+        pairs = np.sort(adjacent)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        # Index len(pairs) is the last event's tail.
+        pair = [*np.searchsorted(pairs, adjacent).tolist(), len(pairs)]
+        ev._text_parts = (list(map(repr, ev.start.tolist())), order[new], int(key[0]),
+                          (pairs // groups).tolist(), (pairs % groups).tolist(), pair,
+                          int(key[-1]))
+    reprs, first, first_key, left, right, pair, last_key = ev._text_parts
     names = [_CHANNELS[c] for c in ev.code[first].tolist()]
     heads = list(map(head, names))
     tails = list(map(tail, names, ev.duration[first].tolist(), ev.level[first].tolist()))
-    return list(chain.from_iterable(
-        zip(map(heads.__getitem__, key), reprs, map(tails.__getitem__, key))))
+    seps = [tails[a] + heads[b] for a, b in zip(left, right)]
+    seps.append(tails[last_key])
+    pieces = [heads[first_key]] * (2 * n + 1)
+    pieces[1::2] = reprs
+    pieces[2::2] = [seps[p] for p in pair]
+    return pieces
 
 
 def schedule_to_text(sched: WaveformSchedule) -> str:
@@ -338,8 +359,9 @@ def schedule_to_text(sched: WaveformSchedule) -> str:
     header = "# timing " + " ".join(
         f"{name}={getattr(sched.timing, name)!r}" for name in _TIMING_FIELDS
     )
-    return "".join([header, "\n", *_row_pieces(
-        sched.events, lambda ch: ch + " ", lambda ch, d, lv: f" {d!r} {lv!r}\n")])
+    pieces = _row_pieces(sched.events, lambda ch: ch + " ", lambda ch, d, lv: f" {d!r} {lv!r}\n")
+    pieces.insert(0, header + "\n")
+    return "".join(pieces)
 
 
 def _parse_lines(lines: list[str], first: int) -> tuple[np.ndarray, ...]:
@@ -368,20 +390,40 @@ def _read_block(lines: list[str]) -> tuple[np.ndarray, ...]:
     if not any(map(str.strip, lines)):  # loadtxt warns when it reads no rows
         return _parse_lines(lines, 0)
     rows = np.loadtxt(lines, _ROW, comments=None, ndmin=1)
-    named = rows["channel"][:, None] == np.array(_CHANNELS)
-    code = np.where(named.any(axis=1), named.argmax(axis=1), len(_CHANNELS)).astype(np.int8)
+    names = rows["channel"]
+    code = np.full(len(rows), len(_CHANNELS), dtype=np.int8)
+    for c, name in enumerate(_CHANNELS):
+        code[names == name] = c
     return (code, *(rows[f].copy() for f in _ROW.names[1:]))
+
+
+def _chunks(text: str):
+    """The lines of text, split about _CHUNK characters at a time. Each chunk
+    ends just after a line feed, so the chunks' lines are text.splitlines()."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        yield text[pos:end].splitlines()
+        pos = end
+
+
+def _header_index(lines: list[str]) -> int:
+    """Index of the first line that is not blank, or len(lines)."""
+    return next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
 
 
 def schedule_from_text(text: str) -> WaveformSchedule:
     """Parse the text form produced by schedule_to_text.
 
     Blank lines are skipped, and the first other line is the timing header.
-    The event lines are read by np.loadtxt, or line by line where it refuses
-    one (`1_0`, say, which float reads) or they fail the schedule's checks.
+    The text is split into lines a chunk at a time, so the list of all its
+    lines is never made, and each chunk's event lines are read by np.loadtxt.
+    Where it refuses one (`1_0`, say, which float reads) or they fail the
+    schedule's checks, the whole text is read again line by line.
     """
-    lines = text.splitlines()
-    first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    chunks = _chunks(text)
+    lines = next((part for part in chunks if _header_index(part) < len(part)), [])
+    first = _header_index(lines)
     if first == len(lines) or not lines[first].startswith("# timing "):
         raise ScheduleParseError("missing timing header line")
     kv: dict[str, float] = {}
@@ -399,12 +441,12 @@ def schedule_from_text(text: str) -> WaveformSchedule:
         timing = TimingParams(**{name: kv[name] for name in _TIMING_FIELDS})
     except (KeyError, ConfigurationError) as exc:
         raise ScheduleParseError(f"invalid timing header: {exc}") from exc
-    body = lines[first + 1:]  # read in blocks, to bound the memory the rows take
     if "\0" not in text:  # numpy's str column would drop a name's trailing NULs
         with suppress(ValueError):  # ScheduleParseError is a ValueError
-            blocks = [_read_block(body[i:i + 4096]) for i in range(0, max(len(body), 1), 4096)]
+            blocks = [_read_block(lines[first + 1:]), *map(_read_block, chunks)]
             return WaveformSchedule(timing, EventColumns(*map(np.concatenate, zip(*blocks))))
-    return WaveformSchedule(timing, EventColumns(*_parse_lines(lines, first + 1)))
+    lines = text.splitlines()
+    return WaveformSchedule(timing, EventColumns(*_parse_lines(lines, _header_index(lines) + 1)))
 
 
 def schedule_to_json(sched: WaveformSchedule) -> str:
@@ -426,7 +468,9 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
                           f'\n      "level_v": {json.dumps(lv)}\n    }},\n    ')
     items[-1] = items[-1][:-6]  # the last item gives up its separator ',\n    '
     # head ends with the empty list and the closing brace: '[]\n}'.
-    return "".join([head[:-4], "[\n    ", *items, "\n  ]\n}\n"])
+    items.insert(0, head[:-4] + "[\n    ")
+    items.append("\n  ]\n}\n")
+    return "".join(items)
 
 
 # --- symbol-stream mini-language --------------------------------------------

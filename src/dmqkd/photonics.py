@@ -107,13 +107,16 @@ def make_frame(
             f"phases must be finite with a finite sum, got phi1={phi1!r}, phi12={phi12!r}, "
             f"phi23={phi23!r}, phi_rp={phi_rp!r}, phi_rf={phi_rf!r}"
         )
-    return PulseFrame(
+    # tuple.__new__ skips the named tuple's Python-level __new__. Each bin
+    # stays a * cmath.exp(1j * p): cmath.rect(a, p) signs the zeros of a = 0
+    # differently, and the oracle test pins them.
+    return tuple.__new__(PulseFrame, (
         a * cmath.exp(1j * p_rp),
         a * cmath.exp(1j * p1),
         a * cmath.exp(1j * p12),
         a * cmath.exp(1j * p123),
         a * cmath.exp(1j * p_rf),
-    )
+    ))
 
 
 def amzi_transform(frame: PulseFrame) -> OutputFrame:
@@ -125,7 +128,8 @@ def amzi_transform(frame: PulseFrame) -> OutputFrame:
     and output bins that overflow, raise DmqkdError.
     """
     a3_prev, a1, a2, a3, a1_next = frame
-    out = OutputFrame(0.5 * (a3_prev + a1), 0.5 * (a1 + a2), 0.5 * (a2 + a3), 0.5 * (a3 + a1_next))
+    out = tuple.__new__(OutputFrame, (
+        0.5 * (a3_prev + a1), 0.5 * (a1 + a2), 0.5 * (a2 + a3), 0.5 * (a3 + a1_next)))
     # Every input bin feeds an output bin, and a sum with a non-finite part
     # stays non-finite, so one pass over the output also covers the input.
     if not all(map(cmath.isfinite, out)):

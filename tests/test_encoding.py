@@ -4,14 +4,17 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dmqkd import encoding
 from dmqkd.config import RunConfig
 from dmqkd.encoding import (
     CH_MASTER,
@@ -36,6 +39,7 @@ from dmqkd.encoding import (
     symbol_token,
     voltage_for_phase,
 )
+from dmqkd.encoding import _ROW, _read_block
 from dmqkd.errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
 from dmqkd.linksim import DecoyIntensities
 from dmqkd.photonics import Phase, amzi_transform, make_frame
@@ -519,14 +523,15 @@ class TestScheduleSerialization:
         with pytest.raises(ScheduleParseError, match=message):
             schedule_from_text("\n".join(lines))
 
-    # A block of 4,096 lines with no event must not make np.loadtxt warn that
-    # it read no data.
+    # A chunk of text with no event must not make np.loadtxt warn that it
+    # read no data.
     @pytest.mark.parametrize(
         "body,events",
         [("", 0), ("\n", 0), ("\n\n \n\t\n\xa0\n", 0), ("\n" * 5000, 0),
-         ("\n" * 4097 + "master_drive 0.0 1.4e-09 1.0\n", 1)],
+         ("\n" * 4097 + "master_drive 0.0 1.4e-09 1.0\n", 1), ("\n" * 200_000, 0),
+         (" \n" * 70_000 + "master_drive 0.0 1.4e-09 1.0\n", 1)],
         ids=["header-only", "one-blank-line", "blank-lines", "blank-blocks",
-             "blank-block-then-event"],
+             "blank-block-then-event", "blank-chunks", "blank-chunk-then-event"],
     )
     def test_header_and_blank_lines_parse_without_warning(self, body, events):
         with warnings.catch_warnings():
@@ -539,6 +544,37 @@ class TestScheduleSerialization:
         sched = schedule_from_text(
             _HEADER + "\nslave_drive 1e308 3e-10 1.0\nslave_drive -1e308 3e-10 1.0\n")
         assert sched.events.start.tolist() == [-1e308, 1e308]
+
+    def test_header_after_a_blank_chunk(self):
+        text = schedule_to_text(self._sched())
+        assert schedule_from_text("\n" * 70_000 + text) == schedule_from_text(text)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_long_text_reads_as_the_line_parser_reads_it(self, newline):
+        rng = random.Random(2000)
+        lines = schedule_to_text(_compiled(
+            [parse_symbol_token(rng.choice(TOKENS)) for _ in range(2000)])).splitlines()
+        assert len(newline.join(lines)) > 4 * encoding._CHUNK
+        assert schedule_from_text(newline.join(lines)) == _parse_by_lines(newline.join(lines))
+        lines[9000] = "mystery" + lines[9000][len(CH_SLAVE):]
+        with pytest.raises(ScheduleParseError, match="^line 9001: unknown channel 'mystery'$"):
+            schedule_from_text(newline.join(lines))
+
+    # The largest allocation of a read is the columns, about 25 bytes per
+    # event line of about 42 characters; the list of all the text's lines
+    # alone took 2.3 times the text's length.
+    def test_peak_memory_of_a_read_stays_below_twice_the_text(self):
+        rng = random.Random(20_000)
+        stream = [parse_symbol_token(rng.choice(TOKENS)) for _ in range(20_000)]
+        text = schedule_to_text(_compiled(stream))
+        tracemalloc.start()
+        try:
+            sched = schedule_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sched.events) == 6 * len(stream)
+        assert peak < 2 * len(text)
 
     # SHA-256 of the text and JSON forms of a seeded 4,096-symbol stream. Any
     # change to event times, order or number formatting moves these.
@@ -833,9 +869,10 @@ def _edit_text(lines, data):
 
 
 class TestParseAgainstLines:
+    # Chunks of a few characters put chunk boundaries inside short texts.
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_same_schedule_or_same_error(self, data):
+    @given(data=st.data(), chunk=st.sampled_from((1, 50, 200, encoding._CHUNK)))
+    def test_same_schedule_or_same_error(self, data, chunk):
         lines = schedule_to_text(_compiled(data.draw(streams(4)))).splitlines()
         for _ in range(data.draw(st.integers(0, 3))):
             _edit_text(lines, data)
@@ -843,13 +880,53 @@ class TestParseAgainstLines:
         try:
             want = _parse_by_lines(text)
         except ScheduleParseError as exc:
-            with pytest.raises(ScheduleParseError) as got:
+            with mock.patch.object(encoding, "_CHUNK", chunk), \
+                    pytest.raises(ScheduleParseError) as got:
                 schedule_from_text(text)
             assert str(got.value) == str(exc)
         else:
-            got = schedule_from_text(text)
+            with mock.patch.object(encoding, "_CHUNK", chunk):
+                got = schedule_from_text(text)
             assert got == want
             assert schedule_to_text(got) == schedule_to_text(want)
+
+
+def _codes_by_broadcast(lines):
+    """Channel codes of event lines by one (n, 3) comparison of the names
+    np.loadtxt reads with the three channels; 3 where none matches."""
+    named = np.loadtxt(lines, _ROW, comments=None, ndmin=1)["channel"][:, None] == np.array(
+        list(_CHANNEL_CODES))
+    return np.where(named.any(axis=1), named.argmax(axis=1), 3).astype(np.int8)
+
+
+@st.composite
+def channel_names(draw):
+    """A channel, a prefix or suffix of one, one padded with NULs, or a name
+    of 19-21 characters (np.loadtxt keeps the first 20)."""
+    name = draw(st.sampled_from(list(_CHANNEL_CODES)))
+    kind = draw(st.sampled_from(("channel", "prefix", "suffix", "nul", "long")))
+    if kind == "prefix":
+        return name[:draw(st.integers(1, len(name)))] + draw(st.sampled_from(("", "x", "_")))
+    if kind == "suffix":
+        return draw(st.sampled_from(("", "x", "_"))) + name[draw(st.integers(0, len(name) - 1)):]
+    if kind == "nul":
+        before, after = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        return "\0" * before + name + "\0" * (after or not before)
+    if kind == "long":
+        return (name + draw(st.text("_x\0", min_size=21, max_size=21)))[:draw(st.integers(19, 21))]
+    return name
+
+
+class TestChannelCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(channel_names(), min_size=1, max_size=8))
+    def test_read_block_matches_the_broadcast_comparison(self, names):
+        lines = [f"{name} {k}e-09 3e-10 1.0" for k, name in enumerate(names)]
+        code, start, duration, level = _read_block(lines)
+        assert code.dtype == np.int8
+        assert code.tolist() == _codes_by_broadcast(lines).tolist()
+        assert start.tolist() == [float(f"{k}e-09") for k in range(len(names))]
+        assert duration.tolist() == [3e-10] * len(names) and level.tolist() == [1.0] * len(names)
 
 
 class TestScheduleProperties:
@@ -914,6 +991,37 @@ class TestScheduleProperties:
         sched = _schedule(TimingParams(), events)
         assert schedule_to_json(sched) == _json_by_dumps(sched)
         assert schedule_to_text(sched) == _text_by_rows(sched)
+
+
+def _events_of_one_level_each(n):
+    """n perturbations 1 ns apart, each with a level of its own."""
+    return [Row(CH_PERT, k * 1e-9, 150e-12, (k - n / 2) * 1e-3) for k in range(n)]
+
+
+class TestWriterEdges:
+    """The two-piece writers against the event-by-event ones at the edges of
+    their grouping: no event, one event, one group, and one group per event
+    (which a separator table over all pairs of groups would make quadratic)."""
+
+    @pytest.mark.parametrize(
+        "events",
+        [[], [Row(CH_MASTER, 0.0, 1.4e-09, 1.0)],
+         [Row(CH_SLAVE, k * 5e-10, 3e-10, 1.0) for k in range(7)],
+         _events_of_one_level_each(5000)],
+        ids=["no-event", "one-event", "one-group", "5000-groups"],
+    )
+    def test_writers_match_the_event_by_event_ones(self, events):
+        sched = _schedule(TimingParams(), events)
+        assert schedule_to_text(sched) == _text_by_rows(sched)
+        assert schedule_to_json(sched) == _json_by_dumps(sched)
+        assert schedule_to_text(sched) == _text_by_rows(sched)  # again, from the same schedule
+
+    def test_one_separator_per_distinct_adjacent_pair(self):
+        sched = _schedule(TimingParams(), _events_of_one_level_each(5000))
+        schedule_to_text(sched)
+        reprs, first, _, left, right, pair, _ = sched.events._text_parts
+        assert len(reprs) == len(first) == len(pair) == 5000
+        assert len(left) == len(right) == 4999
 
 
 class TestScheduleValidation:

@@ -131,6 +131,7 @@ class TestAmziTransform:
     def test_frames_are_immutable_tuples(self):
         frame = make_frame(1.0, 0.7, 1.1, 2.3, 0.4, 5.0)
         out = amzi_transform(frame)
+        assert type(frame) is photonics.PulseFrame and type(out) is photonics.OutputFrame
         assert frame == tuple(frame) and out == (out.rp, out.e, out.l, out.r)
         with pytest.raises(AttributeError):
             out.e = 0j
