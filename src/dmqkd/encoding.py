@@ -36,8 +36,9 @@ _CHANNELS = (CH_MASTER, CH_PERT, CH_SLAVE)
 _CODES = {ch: code for code, ch in enumerate(_CHANNELS)}
 # An event line for np.loadtxt. No channel is 20 characters long, so a name cut to 20 matches none.
 _ROW = np.dtype([("channel", "U20"), ("start", float), ("duration", float), ("level", float)])
-# Characters of schedule text split into lines at a time (plus the rest of a line).
-_CHUNK = 1 << 16
+# Characters of schedule text split into lines at a time (plus the rest of a
+# line), and the most lines np.loadtxt reads at once.
+_CHUNK, _BLOCK = 1 << 16, 4096
 
 # Nominal gate level for drive events; only perturbation levels carry encoding.
 DRIVE_LEVEL_V = 1.0
@@ -398,12 +399,16 @@ def _read_block(lines: list[str]) -> tuple[np.ndarray, ...]:
 
 
 def _chunks(text: str):
-    """The lines of text, split about _CHUNK characters at a time. Each chunk
-    ends just after a line feed, so the chunks' lines are text.splitlines()."""
+    """The lines of text, in lists of at most _BLOCK lines that together are
+    text.splitlines(). The text is split about _CHUNK characters at a time,
+    each piece cut just after the first line feed past _CHUNK characters (the
+    rest of a text with no such line feed is one piece)."""
     pos = 0
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        yield text[pos:end].splitlines()
+        lines = text[pos:end].splitlines()
+        for i in range(0, len(lines), _BLOCK):
+            yield lines[i:i + _BLOCK]
         pos = end
 
 
