@@ -561,8 +561,8 @@ class TestScheduleSerialization:
             schedule_from_text(newline.join(lines))
 
     # The largest allocation of a read is the columns, about 25 bytes per
-    # event line of about 42 characters; the list of all the text's lines
-    # alone took 2.3 times the text's length.
+    # event line of about 42 characters; a list of all the text's lines
+    # would alone take 2.3 times the text's length.
     def test_peak_memory_of_a_read_stays_below_twice_the_text(self):
         rng = random.Random(20_000)
         stream = [parse_symbol_token(rng.choice(TOKENS)) for _ in range(20_000)]
