@@ -421,9 +421,8 @@ def schedule_from_text(text: str) -> WaveformSchedule:
     """Parse the text form produced by schedule_to_text.
 
     Blank lines are skipped, and the first other line is the timing header.
-    The text is split into lines a chunk at a time, so the list of all its
-    lines is never made, and each chunk's event lines are read by np.loadtxt.
-    Where it refuses one (`1_0`, say, which float reads) or they fail the
+    The text is split into lines a piece at a time (see _chunks), and each
+    piece's event lines are read by np.loadtxt. Where it refuses one (`1_0`, say, which float reads) or they fail the
     schedule's checks, the whole text is read again line by line.
     """
     chunks = _chunks(text)
