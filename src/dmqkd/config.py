@@ -10,9 +10,9 @@ counts, a 300 ps detection window, V-pi = 0.8 V, e_det = 3.3% and f_ec = 1.16.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ._record import Record
 from .decoy import sweep_point_count
 from .errors import ConfigurationError, check_seed
 from .linksim import DecoyIntensities, LinkParams, default_state_probs
@@ -24,8 +24,7 @@ MIN_MC_FRAMES = 10_000
 MAX_MC_FRAMES = 10**11
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     loss_min_db: float = 0.0
     loss_max_db: float = 60.0
     loss_step_db: float = 1.0
@@ -36,8 +35,7 @@ class SweepSpec:
             raise ConfigurationError(f"sweep range must have min <= max, got {lo!r}..{hi!r}")
 
 
-@dataclass(frozen=True)
-class McSpec:
+class McSpec(Record):
     n_frames: int = 1_000_000
     seed: int = 0
 
@@ -51,18 +49,17 @@ class McSpec:
             )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a command needs: link, intensities, timing, calibration,
     state mix, sweep and Monte Carlo specs."""
 
-    link: LinkParams = field(default_factory=LinkParams)
-    intensities: DecoyIntensities = field(default_factory=DecoyIntensities)
-    timing: TimingParams = field(default_factory=TimingParams)
-    calibration: CalibrationCurve = field(default_factory=CalibrationCurve)
+    link: LinkParams = LinkParams()
+    intensities: DecoyIntensities = DecoyIntensities()
+    timing: TimingParams = TimingParams()
+    calibration: CalibrationCurve = CalibrationCurve()
     z_mix: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    sweep: SweepSpec = field(default_factory=SweepSpec)
-    mc: McSpec = field(default_factory=McSpec)
+    sweep: SweepSpec = SweepSpec()
+    mc: McSpec = McSpec()
 
     def __post_init__(self) -> None:
         if self.link.clock != self.timing.master_rate:
@@ -146,7 +143,7 @@ def config_from_flat(flat: dict) -> RunConfig:
     z_mix = tuple(parts.pop("z_mix").values())
     return RunConfig(
         z_mix=z_mix,
-        **{section: replace(getattr(_DEFAULT, section), **kw) for section, kw in parts.items()},
+        **{section: getattr(_DEFAULT, section).replace(**kw) for section, kw in parts.items()},
     )
 
 

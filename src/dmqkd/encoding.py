@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -462,7 +462,7 @@ def schedule_to_json(sched: WaveformSchedule) -> str:
     written from a fixed template, because json.dumps falls back to its
     pure-Python encoder whenever indent is set.
     """
-    head = json.dumps({"timing": asdict(sched.timing), "events": []}, indent=2)
+    head = json.dumps({"timing": sched.timing.asdict(), "events": []}, indent=2)
     ev = sched.events
     if not len(ev):
         return head + "\n"

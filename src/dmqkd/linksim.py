@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from ._fanout import Crew, fan_out
+from ._record import Record
 from .errors import ConfigurationError, ModelValidityError, check_seed
 
 # (intensity_class, basis) rows of every tally; Y carries signal states only.
@@ -72,8 +72,7 @@ def _y1_denominator(mu: float, nu: float, omega: float) -> float:
     return denom
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class LinkParams(Record):
     """Channel, detector and protocol parameters for one operating point."""
 
     loss_db: float = 15.0
@@ -121,8 +120,7 @@ class LinkParams:
         return y0
 
 
-@dataclass(frozen=True)
-class DecoyIntensities:
+class DecoyIntensities(Record):
     """Mean photon numbers of the signal, decoy and vacuum classes."""
 
     mu: float = 0.4
@@ -145,8 +143,7 @@ class DecoyIntensities:
         _y1_denominator(self.mu, self.nu, self.omega)
 
 
-@dataclass(frozen=True)
-class GainQber:
+class GainQber(Record):
     """Gain (detections per sent state) and QBER of one state class."""
 
     q: float
@@ -157,8 +154,7 @@ class GainQber:
             raise ConfigurationError(f"gain/QBER out of range: {self!r}")
 
 
-@dataclass
-class RowTally:
+class RowTally(Record, frozen=False):
     """Counts for one (class, basis) row; errors <= detected <= sent."""
 
     sent: int = 0
@@ -166,13 +162,13 @@ class RowTally:
     errors: int = 0
 
 
-@dataclass
-class TallyCounts:
+class TallyCounts(Record, frozen=False):
     """Per-(class, basis) sifted counts from a Monte Carlo run."""
 
-    rows: dict[tuple[str, str], RowTally] = field(
-        default_factory=lambda: {row: RowTally() for row in STATE_ROWS}
-    )
+    rows: dict[tuple[str, str], RowTally]
+
+    def __init__(self) -> None:
+        super().__init__({row: RowTally() for row in STATE_ROWS})
 
     def gain_qber(self, key: tuple[str, str]) -> GainQber:
         t = self.rows[STATE_ROWS[_row_index(key)]]
@@ -330,4 +326,4 @@ def simulate_frames_mc(
 
 def with_loss(params: LinkParams, loss_db: float) -> LinkParams:
     """Copy of params at another channel loss."""
-    return replace(params, loss_db=loss_db)
+    return params.replace(loss_db=loss_db)

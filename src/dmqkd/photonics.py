@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import ConfigurationError, DmqkdError
 
 TWO_PI = 2.0 * math.pi
@@ -138,8 +138,7 @@ def amzi_transform(frame: PulseFrame) -> OutputFrame:
     return out
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
+class CalibrationCurve(Record):
     """Linear phase-vs-voltage calibration through the origin.
 
     v_pi is the voltage producing a pi phase shift; the pulse intensity then
@@ -153,8 +152,7 @@ class CalibrationCurve:
             raise ConfigurationError(f"v_pi must be > 0, got {self.v_pi!r}")
 
 
-@dataclass(frozen=True)
-class TimingParams:
+class TimingParams(Record):
     """Clock rate and event widths of the electrical drive scheme.
 
     The slave laser emits exactly three pulses per master gate, so its rate is
@@ -196,4 +194,4 @@ class TimingParams:
         return 1.0 / self.master_rate
 
 
-_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams))
+_TIMING_FIELDS = TimingParams.field_names

@@ -307,7 +307,8 @@ assert main(["write-defaults", str(tmp / "defaults.txt")]) == 0
 assert main(["--out", str(tmp), "sweep"]) == 0
 assert main(["--help"]) == 0
 assert main(["--frames", "5", "mc"]) == 1
-assert "numpy" not in sys.modules, "numpy imported"
+for name in ("numpy", "dataclasses", "inspect"):
+    assert name not in sys.modules, f"{name} imported"
 (tmp / "stream.txt").write_text("Z0s Y1s Z0d Z1v")
 assert main(["--out", str(tmp), "encode", str(tmp / "stream.txt")]) == 0
 assert "numpy" in sys.modules

@@ -2,7 +2,7 @@ import hashlib
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -421,7 +421,7 @@ def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
 @given(honest_links, unit_floats, decoy_intensities(), st.floats(0.0, 80.0))
 def test_rate_matches_the_dataclass_oracle_bit_for_bit(params, e_det, intens, loss_db):
     # e_det over all of [0, 1], so that the QBER's clamp at 1 is reached.
-    params = replace(params, e_det=e_det)
+    params = params.replace(e_det=e_det)
     at = with_loss(params, loss_db)
     gains = _oracle_class_gains(at, intens)
     b = _oracle_rate(*gains, at, intens)
@@ -459,7 +459,7 @@ def _outcome(sweep, *args):
     st.floats(1e-3, 5.0), st.floats(-1.0, 49.5),
 )
 def test_sweep_matches_the_point_by_point_oracle(params, e_det, intens, loss_min, step, steps):
-    params = replace(params, e_det=e_det)
+    params = params.replace(e_det=e_det)
     args = (loss_min, loss_min + steps * step, step, params, intens)
     assert _outcome(sweep_loss, *args) == _outcome(_oracle_sweep, *args)
 

@@ -6,7 +6,7 @@ import re
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -453,7 +453,7 @@ class TestScheduleSerialization:
         sched = self._sched()
         doc = json.loads(schedule_to_json(sched))
         assert len(doc["events"]) == len(sched.events)
-        assert doc["timing"] == asdict(sched.timing)
+        assert doc["timing"] == sched.timing.asdict()
 
     @pytest.mark.parametrize(
         "text",
@@ -628,7 +628,7 @@ def _compiled(stream):
 def _json_by_dumps(sched):
     """The document written with the json module alone."""
     doc = {
-        "timing": asdict(sched.timing),
+        "timing": sched.timing.asdict(),
         "events": [
             {"channel": ev.channel, "start_s": ev.start, "duration_s": ev.duration,
              "level_v": ev.level}
@@ -640,7 +640,7 @@ def _json_by_dumps(sched):
 
 def _text_by_rows(sched):
     """The text form written one event at a time."""
-    header = "# timing " + " ".join(f"{k}={v!r}" for k, v in asdict(sched.timing).items())
+    header = "# timing " + " ".join(f"{k}={v!r}" for k, v in sched.timing.asdict().items())
     lines = [f"{ev.channel} {ev.start!r} {ev.duration!r} {ev.level!r}" for ev in _rows(sched.events)]
     return "\n".join([header] + lines) + "\n"
 
@@ -780,12 +780,12 @@ def _parse_by_lines(text):
             number = float(value)
         except ValueError as exc:
             raise ScheduleParseError(f"bad timing token {tok!r}") from exc
-        if name not in asdict(TimingParams()) or name in kv:
+        if name not in TimingParams.field_names or name in kv:
             what = "duplicate" if name in kv else "unknown"
             raise ScheduleParseError(f"{what} timing field {name!r}")
         kv[name] = number
     try:
-        timing = TimingParams(**{name: kv[name] for name in asdict(TimingParams())})
+        timing = TimingParams(**{name: kv[name] for name in TimingParams.field_names})
     except (KeyError, ConfigurationError) as exc:
         raise ScheduleParseError(f"invalid timing header: {exc}") from exc
     events = []
