@@ -157,8 +157,8 @@ def _gain_qber(y0: float, e_det: float, sig: float) -> tuple[float, float]:
     q = y0 + sig  # >= 0, and 0 only on a dead channel
     if q > 1.0:
         raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-    e = (0.5 * y0 + e_det * sig) / q if q > 0.0 else 0.5
-    return q, (1.0 if 1.0 < e else e)
+    # 0.5 * y0 <= y0 and e_det * sig <= sig, and rounding is monotone, so e <= 1.
+    return q, ((0.5 * y0 + e_det * sig) / q if q > 0.0 else 0.5)
 
 
 def analytic_class_gains(

@@ -420,7 +420,7 @@ def _oracle_rate(mu_gain, nu_gain, omega_gain, params, intens):
 @settings(max_examples=500, deadline=None)
 @given(honest_links, unit_floats, decoy_intensities(), st.floats(0.0, 80.0))
 def test_rate_matches_the_dataclass_oracle_bit_for_bit(params, e_det, intens, loss_db):
-    # e_det over all of [0, 1], so that the QBER's clamp at 1 is reached.
+    # e_det over all of [0, 1], so that the QBER reaches 1, where the oracle clamps.
     params = params.replace(e_det=e_det)
     at = with_loss(params, loss_db)
     gains = _oracle_class_gains(at, intens)
@@ -493,16 +493,28 @@ def _result(f, *args):
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(any_floats, min_size=9, max_size=9))
-@example([0.05, 0.5, 0.96] + [1.0] * 6)  # Y0 + sig = 1.01: ModelValidityError
 @example([0.0, 0.0, math.inf] + [1.0] * 6)
 def test_clamps_match_the_builtin_min_max_oracle(xs):
     for clamped, oracle, n_args in [
         (_y0_l, _oracle_y0_l, 7),
         (_y1_l, _oracle_y1_l, 9),
         (_e1_u, _oracle_e1_u, 6),
-        (_gain_qber, _oracle_gain_qber, 3),
     ]:
         assert _result(clamped, *xs[:n_args]) == _result(oracle, *xs[:n_args])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(0.0, 0.1), unit_floats, unit_floats)
+@example(0.05, 0.5, 0.96)  # Y0 + sig = 1.01: ModelValidityError
+@example(0.0, 1.0, 5e-324)
+@example(5e-324, 1.0, 1.0 - 2**-53)
+def test_qber_stays_at_most_one_without_a_clamp(y0, e_det, sig):
+    """On a valid link (Y0 <= 0.1, the most LinkParams.y0 allows, and e_det and
+    the click probability in [0, 1]) the unclamped QBER is at most 1, so it
+    equals the oracle's, which clamps at 1."""
+    assert _result(_gain_qber, y0, e_det, sig) == _result(_oracle_gain_qber, y0, e_det, sig)
+    if y0 + sig <= 1.0:
+        assert 0.0 <= _gain_qber(y0, e_det, sig)[1] <= 1.0
 
 
 @settings(max_examples=300, deadline=None)
