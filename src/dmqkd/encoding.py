@@ -105,6 +105,8 @@ class WaveformSchedule:
     with a channel code outside the three channels, a non-finite field or a
     duration <= 0 raises ScheduleParseError. Events are kept in canonical
     (start, channel) order, sorted only if an O(n) check finds them out of it.
+    The columns it keeps are made read-only, since the writers cache pieces of
+    the text made from them.
     """
 
     timing: TimingParams
@@ -123,6 +125,8 @@ class WaveformSchedule:
         if not ((s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (c[1:] >= c[:-1]))).all():
             o = np.lexsort((ev.code, ev.start))
             ev = EventColumns(ev.code[o], ev.start[o], ev.duration[o], ev.level[o])
+        for col in (ev.code, ev.start, ev.duration, ev.level):
+            col.flags.writeable = False
         object.__setattr__(self, "events", ev)
 
 
@@ -401,11 +405,19 @@ def _read_block(lines: list[str]) -> tuple[np.ndarray, ...]:
 def _chunks(text: str):
     """The lines of text, in lists of at most _BLOCK lines that together are
     text.splitlines(). The text is split about _CHUNK characters at a time,
-    each piece cut just after the first line feed past _CHUNK characters (the
-    rest of a text with no such line feed is one piece)."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+    each piece cut just after the first line ending past _CHUNK characters: a
+    "\n", or a "\r" that no "\n" follows, so never inside a "\r\n" (the rest
+    of a text with no such ending is one piece). The next "\n" and "\r" found
+    are kept until a cut passes them, so each character is searched once."""
+    pos, n = 0, len(text)
+    lf = cr = -1
+    while pos < n:
+        cut = pos + _CHUNK
+        if lf < cut:
+            lf = text.find("\n", cut) % (n + 1)  # n where there is none
+        if cr < cut:
+            cr = text.find("\r", cut) % (n + 1)
+        end = cr + 1 if cr + 1 < lf else min(lf + 1, n)
         lines = text[pos:end].splitlines()
         for i in range(0, len(lines), _BLOCK):
             yield lines[i:i + _BLOCK]

@@ -549,24 +549,33 @@ class TestScheduleSerialization:
         text = schedule_to_text(self._sched())
         assert schedule_from_text("\n" * 70_000 + text) == schedule_from_text(text)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "mixed"])
     def test_long_text_reads_as_the_line_parser_reads_it(self, newline):
         rng = random.Random(2000)
         lines = schedule_to_text(_compiled(
             [parse_symbol_token(rng.choice(TOKENS)) for _ in range(2000)])).splitlines()
-        assert len(newline.join(lines)) > 4 * encoding._CHUNK
-        assert schedule_from_text(newline.join(lines)) == _parse_by_lines(newline.join(lines))
+
+        def join(lines):
+            if newline != "mixed":
+                return newline.join(lines)
+            ends = random.Random(1).choices(["\n", "\r\n", "\r"], k=len(lines))
+            return "".join(map(str.__add__, lines, ends))
+
+        assert len(join(lines)) > 4 * encoding._CHUNK
+        assert schedule_from_text(join(lines)) == _parse_by_lines(join(lines))
+        assert schedule_from_text(join(lines)) == schedule_from_text("\n".join(lines))
         lines[9000] = "mystery" + lines[9000][len(CH_SLAVE):]
         with pytest.raises(ScheduleParseError, match="^line 9001: unknown channel 'mystery'$"):
-            schedule_from_text(newline.join(lines))
+            schedule_from_text(join(lines))
 
     # The largest allocation of a read is the columns, about 25 bytes per
     # event line of about 42 characters; a list of all the text's lines
     # would alone take 2.3 times the text's length.
-    def test_peak_memory_of_a_read_stays_below_twice_the_text(self):
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    def test_peak_memory_of_a_read_stays_below_twice_the_text(self, newline):
         rng = random.Random(20_000)
         stream = [parse_symbol_token(rng.choice(TOKENS)) for _ in range(20_000)]
-        text = schedule_to_text(_compiled(stream))
+        text = schedule_to_text(_compiled(stream)).replace("\n", newline)
         tracemalloc.start()
         try:
             sched = schedule_from_text(text)
@@ -869,6 +878,16 @@ def _edit_text(lines, data):
 
 
 class TestParseAgainstLines:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(st.sampled_from("a \r\n\x0c\x85"), max_size=60),
+           chunk=st.integers(1, 8), block=st.integers(1, 3))
+    def test_chunks_hold_the_lines_of_the_text(self, text, chunk, block):
+        with mock.patch.object(encoding, "_CHUNK", chunk), \
+                mock.patch.object(encoding, "_BLOCK", block):
+            parts = list(encoding._chunks(text))
+        assert all(1 <= len(part) <= block for part in parts)
+        assert [line for part in parts for line in part] == text.splitlines()
+
     # Chunks of a few characters put chunk boundaries inside short texts.
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), chunk=st.sampled_from((1, 50, 200, encoding._CHUNK)))
@@ -876,7 +895,12 @@ class TestParseAgainstLines:
         lines = schedule_to_text(_compiled(data.draw(streams(4)))).splitlines()
         for _ in range(data.draw(st.integers(0, 3))):
             _edit_text(lines, data)
-        text = data.draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+        newline = data.draw(st.sampled_from(("\n", "\r\n", "\r", "mixed")))
+        if newline == "mixed":
+            ends = [data.draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+            text = "".join(map(str.__add__, lines, ends))
+        else:
+            text = newline.join(lines)
         try:
             want = _parse_by_lines(text)
         except ScheduleParseError as exc:
@@ -1015,6 +1039,22 @@ class TestWriterEdges:
         assert schedule_to_text(sched) == _text_by_rows(sched)
         assert schedule_to_json(sched) == _json_by_dumps(sched)
         assert schedule_to_text(sched) == _text_by_rows(sched)  # again, from the same schedule
+
+    def test_a_written_schedule_refuses_writes_to_its_columns(self):
+        # The writers cache pieces of the text, so a write to a column would
+        # leave schedule_to_text returning the old text.
+        sched = _compiled([EncodingSymbol("Z", 0), EncodingSymbol("Y", 1)])
+        text = schedule_to_text(sched)
+        with pytest.raises(ValueError, match="read-only"):
+            sched.events.start[:] += 1.0
+        assert schedule_to_text(sched) == text
+        # Parsed and re-sorted schedules keep read-only columns too.
+        unsorted = _schedule(TimingParams(), [Row(CH_SLAVE, 1e-9, 3e-10, 1.0),
+                                              Row(CH_SLAVE, 0.0, 3e-10, 1.0)])
+        for other in (schedule_from_text(text), unsorted):
+            ev = other.events
+            assert not any(col.flags.writeable
+                           for col in (ev.code, ev.start, ev.duration, ev.level))
 
     def test_one_separator_per_distinct_adjacent_pair(self):
         sched = _schedule(TimingParams(), _events_of_one_level_each(5000))
