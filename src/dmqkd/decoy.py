@@ -157,8 +157,10 @@ def _gain_qber(y0: float, e_det: float, sig: float) -> tuple[float, float]:
     q = y0 + sig  # >= 0, and 0 only on a dead channel
     if q > 1.0:
         raise ModelValidityError(f"linearized gain Y0 + {sig!r} = {q!r} exceeds 1")
-    # 0.5 * y0 <= y0 and e_det * sig <= sig, and rounding is monotone, so e <= 1.
-    return q, ((0.5 * y0 + e_det * sig) / q if q > 0.0 else 0.5)
+    if q > 0.0:
+        # 0.5 * y0 <= y0 and e_det * sig <= sig, and rounding is monotone, so e <= 1.
+        return q, (0.5 * y0 + e_det * sig) / q
+    return q, 0.5
 
 
 def analytic_class_gains(
