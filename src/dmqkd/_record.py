@@ -25,8 +25,8 @@ from __future__ import annotations
 class Record:
     field_names: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        super().__init_subclass__()
         cls.field_names = tuple(cls.__dict__.get("__annotations__", ()))
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
