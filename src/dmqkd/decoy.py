@@ -3,8 +3,8 @@
 Given per-class gains and QBERs (analytic or measured), bound the vacuum yield
 Y0 and single-photon yield Y1 from below and the single-photon error e1 from
 above, then evaluate the standard asymptotic key-rate formula. Bounds are
-clamped to their physical ranges and never overestimate the rate obtained from
-the true single-photon statistics of an honest channel.
+clamped to their physical ranges and never overestimate the true single-photon
+rate of an honest channel, save at a tiny eta*lambda (ROADMAP item 1).
 """
 
 from __future__ import annotations

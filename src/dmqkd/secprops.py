@@ -72,17 +72,11 @@ def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.m
     return arr
 
 
-def _rayleigh_input(samples: Sequence[float], bound: float) -> np.ndarray:
-    """samples as _finite checks them, or SampleSizeError if fewer than 100."""
-    arr = _finite(samples, "samples", bound)
-    if arr.size < 100:
-        raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
-    return arr
-
-
 def _rayleigh(angles: np.ndarray, unit: np.ndarray) -> tuple[float, float]:
-    """circular_uniformity_stat of finite angles, at least 100, with unit a
-    complex buffer of their shape for their unit vectors."""
+    """Rayleigh test of circular uniformity of finite angles, at least 100,
+    with unit a complex buffer of their shape for their unit vectors: returns
+    (z, p), z = n * Rbar^2 with Rbar the mean resultant length and
+    p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity."""
     # cos and sin written into one complex buffer equal np.exp(1j * angles)
     # bit for bit, and its complex mean sums in the same order.
     np.cos(angles, out=unit.real)
@@ -93,16 +87,6 @@ def _rayleigh(angles: np.ndarray, unit: np.ndarray) -> tuple[float, float]:
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
     # max(p, 0.0) would keep a p of -0.0.
     return z, min(max(0.0, p), 1.0)
-
-
-def circular_uniformity_stat(samples: Sequence[float]) -> tuple[float, float]:
-    """Rayleigh test of circular uniformity: returns (z, p).
-
-    z = n * Rbar^2 with Rbar the mean resultant length;
-    p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity.
-    """
-    arr = _rayleigh_input(samples, sys.float_info.max)
-    return _rayleigh(arr, np.empty(arr.shape, dtype=complex))
 
 
 def _mod_two_pi(
@@ -139,8 +123,12 @@ def _axial_p(
 
 
 def axial_uniformity_p(samples: Sequence[float]) -> float:
-    """Rayleigh p-value on the doubled angles (axial-data convention)."""
-    arr = _rayleigh_input(samples, sys.float_info.max / 2.0)
+    """Rayleigh p-value on the doubled angles (axial-data convention). The
+    test needs at least 100 samples, each finite and at most DBL_MAX/2 in
+    magnitude so that its double is finite; else SampleSizeError."""
+    arr = _finite(samples, "samples", sys.float_info.max / 2.0)
+    if arr.size < 100:
+        raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
     return _axial_p(arr.copy(), np.empty(arr.shape, dtype=complex))
 
 

@@ -302,7 +302,7 @@ def test_bounds_sound_over_random_honest_links(params, intens, loss_db):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 8: 1 - e^(-eta*lambda) by subtraction loses precision once "
+    "ROADMAP item 1: 1 - e^(-eta*lambda) by subtraction loses precision once "
     "eta*lambda is far below 1, and the Y1 and e1 bounds cross the true values"))
 @pytest.mark.parametrize("params, intens, loss_db", [
     (LinkParams(det_efficiency=1e-15, dark_rate=0.0, window=0.0, e_det=0.5),
