@@ -108,20 +108,6 @@ def _mod_two_pi(
     return np.remainder(x, TWO_PI, out=out)
 
 
-def _axial_p(
-    samples: np.ndarray,
-    unit: np.ndarray,
-    turns: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> float:
-    """axial_uniformity_p of finite samples, at least 100, which it doubles
-    in place; unit, turns and mask are buffers as for _rayleigh and
-    _mod_two_pi, and turns may share unit's memory."""
-    samples *= 2.0
-    _, p = _rayleigh(_mod_two_pi(samples, samples, turns, mask), unit)
-    return p
-
-
 def axial_uniformity_p(samples: Sequence[float]) -> float:
     """Rayleigh p-value on the doubled angles (axial-data convention). The
     test needs at least 100 samples, each finite and at most DBL_MAX/2 in
@@ -129,7 +115,37 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
     arr = _finite(samples, "samples", sys.float_info.max / 2.0)
     if arr.size < 100:
         raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
-    return _axial_p(arr.copy(), np.empty(arr.shape, dtype=complex))
+    doubled = arr * 2.0
+    _, p = _rayleigh(_mod_two_pi(doubled, doubled), np.empty(arr.shape, dtype=complex))
+    return p
+
+
+# The edges of mutual_information_bits' phase bins, as np.histogram takes them.
+_MI_EDGES = np.linspace(0.0, TWO_PI, MI_BINS + 1)
+
+
+def _phase_bins(phases: np.ndarray, bins: np.ndarray, edge: np.ndarray,
+                mask: np.ndarray) -> np.ndarray:
+    """np.histogram's bin on _MI_EDGES of each phase in [0, 2*pi], written
+    into bins (int64): bin k holds e_k <= phase < e_k+1, and the last bin
+    holds 2*pi too. edge (float) and mask (bool) are scratch of phases'
+    shape. Each e_k scales to at least k and the scaling is monotone, so a
+    scaled phase is never a bin low, and one bin high only below an edge."""
+    np.multiply(phases, MI_BINS / TWO_PI, out=bins, casting="unsafe")
+    np.minimum(bins, MI_BINS - 1, out=bins)
+    bins -= np.less(phases, np.take(_MI_EDGES, bins, mode="clip", out=edge), out=mask)
+    return bins
+
+
+def _mi_bits(counts: np.ndarray) -> float:
+    """Mutual information in bits of label and phase bin from their joint
+    histogram counts[label, bin]."""
+    joint = counts / counts.sum()
+    p_label = joint.sum(axis=1, keepdims=True)
+    p_phase = joint.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = joint * np.log2(joint / (p_label * p_phase))
+    return float(np.nansum(terms))
 
 
 def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
@@ -149,45 +165,27 @@ def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> f
     n = labels.size
     if n == 0:
         raise SampleSizeError("need at least one sample, got 0")
-    phases = _mod_two_pi(phases)
-    edges = np.linspace(0.0, TWO_PI, MI_BINS + 1)
-    values = np.unique(labels)
-    joint = np.stack(
-        [np.histogram(phases[labels == v], bins=edges)[0] for v in values]
-    ).astype(float)
-    joint /= n
-    p_label = joint.sum(axis=1, keepdims=True)
-    p_phase = joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = joint * np.log2(joint / (p_label * p_phase))
-    return float(np.nansum(terms))
-
-
-def _padded_half_angles(
-    shift: float | np.ndarray,
-    rng: np.random.Generator,
-    out: np.ndarray,
-    turns: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """(pad + shift) mod 2*pi, halved, for pads uniform on [0, 2*pi), written
-    into out; turns and mask are _mod_two_pi's scratch. The pads are
-    rng.random times TWO_PI: rng.uniform(0.0, TWO_PI, size=out.size) computes
-    0.0 + TWO_PI * rng.random() each, so they are its draws bit for bit and
-    leave the generator in the same state."""
-    np.multiply(rng.random(out=out), TWO_PI, out=out)
-    out += shift
-    _mod_two_pi(out, out, turns, mask)
-    out /= 2.0
-    return out
+    values, inverse = np.unique(labels, return_inverse=True)
+    keys = inverse.ravel() * MI_BINS
+    keys += _phase_bins(_mod_two_pi(phases).ravel(), np.empty(n, dtype=np.int64),
+                        np.empty(n), np.empty(n, dtype=bool))
+    return _mi_bits(np.bincount(keys, minlength=values.size * MI_BINS).reshape(-1, MI_BINS))
 
 
 def sample_phi_lr(
     phi23: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """phi_LR = (phi_rf + phi23)/2 for phi23 (fixed, or one per sample) under
-    uniformly random phi_rf, the sum reduced mod 2*pi before halving: in [0, pi)."""
-    return _padded_half_angles(phi23, rng, np.empty(n))
+    uniformly random phi_rf, the sum reduced mod 2*pi before halving: in [0, pi].
+    The phi_rf are rng.random times TWO_PI: rng.uniform(0.0, TWO_PI, size=n)
+    computes 0.0 + TWO_PI * rng.random() each, so they are its draws bit for
+    bit and leave the generator in the same state."""
+    out = rng.random(n)
+    out *= TWO_PI
+    out += phi23
+    _mod_two_pi(out, out)
+    out /= 2.0
+    return out
 
 
 def sample_phi_erp(
@@ -195,7 +193,7 @@ def sample_phi_erp(
 ) -> np.ndarray:
     """phi_ER_P = (phi_rp - phi12)/2 for a fixed phi12 under uniformly random
     phi_rp; phi_rp - phi12 is phi_rp + (-phi12) bit for bit."""
-    return _padded_half_angles(-float(phi12), rng, np.empty(n))
+    return sample_phi_lr(-float(phi12), n, rng)
 
 
 BB84_SYMBOLS = (
@@ -238,8 +236,8 @@ class _Buffers(NamedTuple):
     """One run_verification worker's arrays for its statistical tests, freed
     when the call returns: their samples, the bool mask of _mod_two_pi and
     the unit vectors of _rayleigh. The float turns of _mod_two_pi share the
-    unit vectors' memory, which a test writes only after its last reduction
-    mod 2*pi."""
+    unit vectors' first half, which a test writes only after its last
+    reduction mod 2*pi; the MI test's int64 phase bins share their second."""
 
     samples: np.ndarray
     mask: np.ndarray
@@ -250,22 +248,37 @@ class _Buffers(NamedTuple):
         return self.unit.view(np.float64)[: self.samples.size]
 
 
-def _uniformity(name: str, samples: np.ndarray, bufs: _Buffers) -> dict:
-    """One-time-pad uniformity of leakage phases at one fixed setting."""
-    p = _axial_p(samples, bufs.unit, bufs.turns, bufs.mask)
-    return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": samples.size}
+def _doubled_p(doubled: np.ndarray, bufs: _Buffers) -> float:
+    """axial_uniformity_p of the half-angles (doubled mod 2*pi) / 2, bit for
+    bit, from one reduction of doubled mod 2*pi in place: a result rounded to
+    exactly 2*pi is folded to 0.0, as halving, doubling and reducing again
+    would fold it (sin(2*pi) is not 0)."""
+    _mod_two_pi(doubled, doubled, bufs.turns, bufs.mask)
+    doubled[np.equal(doubled, TWO_PI, out=bufs.mask)] = 0.0
+    _, p = _rayleigh(doubled, bufs.unit)
+    return p
 
 
-def _bits_and_phi_lr(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random Z-basis bits and phi_LR at each bit's phi23."""
-    bits = rng.integers(0, 2, size=N_UNIFORM)
-    return bits, sample_phi_lr(_BB84_PHASES[bits, 1], N_UNIFORM, rng)
+def _uniformity(name: str, shift: float, pads: np.ndarray, bufs: _Buffers) -> dict:
+    """One-time-pad uniformity of leakage phases at one fixed setting: the
+    doubled angles pads * 2*pi + shift, the pads overwritten."""
+    pads *= TWO_PI
+    pads += shift
+    p = _doubled_p(pads, bufs)
+    return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": pads.size}
 
 
-def _bit_phase_independence(bits_and_phases: tuple[np.ndarray, np.ndarray]) -> dict:
-    """Mutual information between the Z-basis bit and phi_LR."""
-    bits, phi_lr = bits_and_phases
-    mi = mutual_information_bits(bits, phi_lr)
+def _bit_independence(bits: np.ndarray, bufs: _Buffers) -> dict:
+    """Mutual information between random Z-basis bits and phi_LR at each
+    bit's phi23, from the pads in bufs.samples; bits is overwritten."""
+    phi_lr = bufs.samples
+    phi_lr *= TWO_PI
+    phi_lr += np.take(_BB84_PHASES[:, 1], bits, mode="clip", out=bufs.turns)
+    _mod_two_pi(phi_lr, phi_lr, bufs.turns, bufs.mask)
+    phi_lr /= 2.0
+    bits *= MI_BINS
+    bits += _phase_bins(phi_lr, bufs.unit.view(np.int64)[phi_lr.size:], bufs.turns, bufs.mask)
+    mi = _mi_bits(np.bincount(bits, minlength=2 * MI_BINS).reshape(2, MI_BINS))
     return {
         "name": "bit_phi_lr_mutual_information",
         "passed": mi < MI_THRESHOLD,
@@ -276,12 +289,12 @@ def _bit_phase_independence(bits_and_phases: tuple[np.ndarray, np.ndarray]) -> d
 
 def _negative_control(padding: np.ndarray, bufs: _Buffers) -> dict:
     """A padding phase concentrated around 0 leaks, and the uniformity test
-    must detect it. The test overwrites padding."""
-    concentrated = _mod_two_pi(padding, padding, bufs.turns, bufs.mask)
-    concentrated += math.pi
-    _mod_two_pi(concentrated, concentrated, bufs.turns, bufs.mask)
-    concentrated /= 2.0
-    p = _axial_p(concentrated, bufs.unit, bufs.turns, bufs.mask)
+    must detect it: standard normal padding, scaled to 0.3 rad and reduced
+    mod 2*pi, then padded by pi. The test overwrites padding."""
+    padding *= 0.3
+    _mod_two_pi(padding, padding, bufs.turns, bufs.mask)
+    padding += math.pi
+    p = _doubled_p(padding, bufs)
     return {
         "name": "negative_control_nonuniform_detected",
         "passed": p < P_THRESHOLD,
@@ -306,35 +319,35 @@ def run_verification(seed: int = 0) -> dict:
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    # Each task is draw(bufs) and test(drawn, bufs), given the buffers of the
-    # worker that runs it.
+    # Each task is draw(bufs), generator calls alone, and test(drawn, bufs),
+    # given the buffers of the worker that runs it.
     tasks = [(lambda bufs: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)),
               lambda draws, bufs: _exact_invariance(draws))]
     # phi_LR pads +phi23 and phi_ER_P pads -phi12, as sample_phi_lr and
-    # sample_phi_erp do.
+    # sample_phi_erp do, with rng.random times TWO_PI as their pads.
     for name, sign in (("phi_lr", 1.0), ("phi_erp", -1.0)):
         for fixed in FIXED_ENCODING_PHASES:
             tasks.append((
-                lambda bufs, shift=sign * fixed: _padded_half_angles(
-                    shift, rng, bufs.samples, bufs.turns, bufs.mask),
-                functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi"),
+                lambda bufs: rng.random(out=bufs.samples),
+                functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi",
+                                  sign * fixed),
             ))
-    tasks.append((lambda bufs: _bits_and_phi_lr(rng),
-                  lambda drawn, bufs: _bit_phase_independence(drawn)))
+    tasks.append((lambda bufs: (rng.integers(0, 2, size=N_UNIFORM),
+                                rng.random(out=bufs.samples))[0],
+                  _bit_independence))
     # standard_normal times 0.3 leaves the generator as normal(0.0, 0.3) does
     # and is its draws bit for bit, but for the sign of an exact zero: normal
     # computes 0.0 + 0.3 * standard_normal(), and the control's first
     # reduction mod 2*pi clears that sign too.
-    tasks.append((lambda bufs: np.multiply(rng.standard_normal(out=bufs.samples), 0.3,
-                                           out=bufs.samples),
-                  _negative_control))
+    tasks.append((lambda bufs: rng.standard_normal(out=bufs.samples), _negative_control))
     properties: list = [None] * len(tasks)
 
     def run(first: int, crew: Crew) -> None:
-        # Each test runs outside the turn, in parallel with the next draws.
-        # Every test of this worker runs in these buffers from draw to
-        # p-value: arrays made and freed per test were faulted in afresh by
-        # each test, since glibc hands freed ones back to the kernel.
+        # Only the generator calls take the turn; each test runs outside it,
+        # in parallel with the next draws. Every test of this worker runs in
+        # these buffers from draw to statistic: arrays made and freed per test
+        # were faulted in afresh by each test, since glibc hands freed ones
+        # back to the kernel.
         bufs = _Buffers(np.empty(N_UNIFORM), np.empty(N_UNIFORM, dtype=bool),
                         np.empty(N_UNIFORM, dtype=complex))
         for i in range(first, len(tasks), crew.workers):

@@ -184,6 +184,15 @@ class TestSweep:
         assert "loss_db" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_perturbation_width_of_a_slave_period_is_usage_error(self, tmp_path, capsys):
+        # The default slave period is 1 / (3 * master_rate) = 500 ps.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("perturbation_width_s = 5e-10\n")
+        assert run("--config", str(cfg), "--out", str(tmp_path / "out"), "sweep") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "perturbation_width must be shorter than the slave period" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [("--loss-step", "1e-300"), ("--loss-max", "1e308", "--loss-step", "1")],

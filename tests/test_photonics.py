@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dmqkd import encoding, photonics
 from dmqkd.config import RunConfig
-from dmqkd.errors import DmqkdError
+from dmqkd.errors import ConfigurationError, DmqkdError
 from dmqkd.photonics import (
     TWO_PI,
     Phase,
@@ -164,6 +164,16 @@ class TestAmziTransform:
         message = "AMZI output must be finite, got (inf+nanj)"
         with pytest.raises(DmqkdError, match=re.escape(message)):
             amzi_transform(make_frame(1e308, 0.0, 0.0, 0.0, 1.0, 2.0))
+
+
+class TestTimingParams:
+    def test_perturbation_width_must_be_shorter_than_the_slave_period(self):
+        delay = photonics.TimingParams().amzi_delay
+        assert photonics.TimingParams(perturbation_width=np.nextafter(delay, 0.0)).amzi_delay == delay
+        for width in (delay, 2.0 * delay):
+            with pytest.raises(ConfigurationError,
+                               match="^perturbation_width must be shorter than the slave period$"):
+                photonics.TimingParams(perturbation_width=width)
 
 
 def test_encoding_reexports_the_timing_and_calibration_classes():

@@ -35,8 +35,11 @@ ALLOWED = {
     "decoy.analytic_class_gains": _PROBE,
     "linksim.with_loss": _PROBE,
     "secprops.r_bin_amplitude": _PROBE,
+    "secprops.sample_phi_lr": _PROBE,
     "secprops.sample_phi_erp": _PROBE,
     "secprops.axial_uniformity_p": _PROBE,
+    "secprops.mutual_information_bits": _PROBE,
+    "secprops._finite": _PROBE,
     "encoding.schedule_from_text": _EMIT,
     "encoding._chunks": _EMIT,
     "encoding._header_index": _EMIT,

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,12 +282,76 @@ def test_mod_two_pi_matches_np_remainder_bit_for_bit(x):
         assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
+_BIN_EDGES = np.linspace(0.0, TWO_PI, secprops.MI_BINS + 1)
+
+
+def _mi_by_histogram(labels, phases):
+    """mutual_information_bits as it was written with one np.histogram per
+    label, kept as the oracle of the bin kernel and the bincount."""
+    labels, phases = np.asarray(labels), np.remainder(np.asarray(phases, dtype=float), TWO_PI)
+    joint = np.stack(
+        [np.histogram(phases[labels == v], bins=_BIN_EDGES)[0] for v in np.unique(labels)]
+    ).astype(float)
+    joint /= labels.size
+    p_label = joint.sum(axis=1, keepdims=True)
+    p_phase = joint.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = joint * np.log2(joint / (p_label * p_phase))
+    return float(np.nansum(terms))
+
+
+_NEAR_EDGES = np.concatenate(
+    [_BIN_EDGES, np.nextafter(_BIN_EDGES, -math.inf), np.nextafter(_BIN_EDGES, math.inf)]
+)
+
+
+@st.composite
+def _labelled_phases(draw):
+    """Labels of one to four values (int, float or bool) and phases that are
+    uniform, huge, negative or planted on and beside the bin edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    labels = rng.integers(0, draw(st.integers(1, 4)), n)
+    labels = draw(st.sampled_from([labels, labels * 0.5 - 1.0, labels == 0]))
+    phases = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(0, 300))
+    picks = rng.choice(np.concatenate([_NEAR_EDGES, [-0.0, -1e-17]]), n)
+    return labels, np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), picks, phases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_phases())
+def test_mutual_information_matches_the_histogram_per_label_bit_for_bit(labelled):
+    labels, phases = labelled
+    assert repr(mutual_information_bits(labels, phases)) == repr(_mi_by_histogram(labels, phases))
+
+
 class TestMutualInformation:
     def test_independent_near_zero(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, size=100_000)
         phases = rng.uniform(0.0, TWO_PI, size=100_000)
         assert mutual_information_bits(bits, phases) < 0.001
+
+    def test_kernel_counts_equal_np_histogram(self):
+        # The kernel's premise: every edge scales to at least its index.
+        assert (_BIN_EDGES * (secprops.MI_BINS / TWO_PI) >= np.arange(secprops.MI_BINS + 1)).all()
+        # Every edge and its neighbours in [0, 2*pi], both zeros and the
+        # float below pi, each alone and then among random phases.
+        special = np.concatenate([_NEAR_EDGES[(0.0 <= _NEAR_EDGES) & (_NEAR_EDGES <= TWO_PI)],
+                                  [0.0, -0.0, np.nextafter(math.pi, 0.0)]])
+        phases = np.concatenate([special, np.random.default_rng(12).uniform(0.0, TWO_PI, 10_000)])
+        n = phases.size
+        bins = secprops._phase_bins(phases, np.full(n, -7, dtype=np.int64), np.full(n, math.nan),
+                                    np.ones(n, dtype=bool))
+        assert bins[: special.size].tolist() == [
+            int(np.histogram([x], bins=_BIN_EDGES)[0].argmax()) for x in special
+        ]
+        labels = np.random.default_rng(13).integers(0, 2, n)
+        counts = np.bincount(labels * secprops.MI_BINS + bins, minlength=2 * secprops.MI_BINS)
+        assert np.array_equal(
+            counts.reshape(2, secprops.MI_BINS),
+            np.stack([np.histogram(phases[labels == v], bins=_BIN_EDGES)[0] for v in (0, 1)]),
+        )
 
     def test_deterministic_coupling_near_one_bit(self):
         rng = np.random.default_rng(4)
@@ -314,9 +379,12 @@ class TestSamplers:
 @given(st.integers(0, 2**64 - 1), st.one_of(st.integers(100, 3000), st.just(secprops.N_UNIFORM)))
 def test_worker_buffers_match_the_allocating_functions_bit_for_bit(seed, n):
     """One set of worker buffers, dirty from the test before, run through
-    every fixed phase of both samplers and then the negative control: each
-    draw equals sample_phi_* and the formula over rng.uniform, each p-value
-    equals axial_uniformity_p's, and each generator ends in the same state."""
+    the one-pass kernels as run_verification calls them: the uniformity test
+    at every fixed phase of both samplers, the MI test and the negative
+    control. Each statistic equals the allocating functions' on the same
+    draws (sample_phi_*, axial_uniformity_p, mutual_information_bits), and
+    the formula over rng.uniform and rng.normal, and each generator ends in
+    the same state. Last, planted pads whose reduction rounds to 2*pi."""
     bufs = secprops._Buffers(np.full(n, math.nan), np.ones(n, dtype=bool),
                              np.full(n, complex(math.nan, math.nan)))
 
@@ -326,24 +394,41 @@ def test_worker_buffers_match_the_allocating_functions_bit_for_bit(seed, n):
     buffered, allocating, formula = (np.random.default_rng(seed) for _ in range(3))
     for sampler, sign in ((sample_phi_lr, 1.0), (sample_phi_erp, -1.0)):
         for fixed in secprops.FIXED_ENCODING_PHASES:
-            drawn = secprops._padded_half_angles(sign * fixed, buffered, bufs.samples,
-                                                 bufs.turns, bufs.mask)
+            pads = buffered.random(out=bufs.samples)
+            p = secprops._uniformity("u", sign * fixed, pads, bufs)["p_value"]
             want = sampler(fixed, n, allocating)
-            pads = formula.uniform(0.0, TWO_PI, size=n)
-            assert same_bits(drawn, want)
-            assert same_bits(want, np.remainder(pads + sign * fixed, TWO_PI) / 2.0)
-            p = secprops._uniformity("u", drawn, bufs)["p_value"]
+            assert same_bits(pads, np.remainder(2.0 * want, TWO_PI))
+            uniform = formula.uniform(0.0, TWO_PI, size=n)
+            assert same_bits(want, np.remainder(uniform + sign * fixed, TWO_PI) / 2.0)
             assert repr(p) == repr(axial_uniformity_p(want))
             assert repr(p) == repr(_rayleigh_by_exp(np.remainder(2.0 * want, TWO_PI))[1])
             assert buffered.bit_generator.state == allocating.bit_generator.state
             assert buffered.bit_generator.state == formula.bit_generator.state
-    padding = np.multiply(buffered.standard_normal(out=bufs.samples), 0.3, out=bufs.samples)
-    want = formula.normal(0.0, 0.3, size=n)
-    assert same_bits(padding, want)
-    assert buffered.bit_generator.state == formula.bit_generator.state
-    p = secprops._negative_control(padding, bufs)["p_value"]
-    concentrated = np.remainder(np.remainder(want, TWO_PI) + math.pi, TWO_PI) / 2.0
+    bits = buffered.integers(0, 2, size=n)
+    buffered.random(out=bufs.samples)
+    mi = secprops._bit_independence(bits.copy(), bufs)["mi_bits"]
+    want_bits = allocating.integers(0, 2, size=n)
+    want = sample_phi_lr(secprops._BB84_PHASES[want_bits, 1], n, allocating)
+    assert repr(mi) == repr(mutual_information_bits(want_bits, want))
+    assert repr(mi) == repr(_mi_by_histogram(bits, want))
+    buffered.standard_normal(out=bufs.samples)
+    p = secprops._negative_control(bufs.samples, bufs)["p_value"]
+    concentrated = np.remainder(np.remainder(allocating.normal(0.0, 0.3, size=n), TWO_PI)
+                                + math.pi, TWO_PI) / 2.0
     assert repr(p) == repr(axial_uniformity_p(concentrated))
+    assert buffered.bit_generator.state == allocating.bit_generator.state
+    # A pad of 0.0 at a shift just below 0 reduces to exactly 2*pi, whose
+    # half-angle pi doubles and reduces again to 0.0. The one-pass kernel
+    # must fold it too, since sin(2*pi) is not 0.
+    for shift in (-1e-17, -2.0**-51, -2.0**-53, -5e-324):
+        pads = buffered.random(out=bufs.samples)
+        pads[::3] = 0.0
+        halves = np.remainder(pads * TWO_PI + shift, TWO_PI) / 2.0
+        assert halves[0] == math.pi
+        p = secprops._uniformity("u", shift, pads, bufs)["p_value"]
+        assert repr(p) == repr(axial_uniformity_p(halves))
+        # The doubled angles, left in the pads' buffer, are the round trip's.
+        assert same_bits(pads, np.remainder(2.0 * halves, TWO_PI)) and pads[0] == 0.0
 
 
 class TestRunVerification:
@@ -468,36 +553,59 @@ class TestVerificationWorkers:
         assert reports[1] == [_report(seed) for seed in range(5)]
         assert threading.active_count() == threads
 
+    # Measured peaks of 3.22 MiB on 1 CPU and 5.61-5.67 MiB on 2 (each
+    # worker's 2.4 MiB of buffers and the MI task's 0.76 MiB of bits), with
+    # 0.3 MiB of slack; the MI task's allocating histogram read 8.0 on 2.
+    @pytest.mark.parametrize("cpus,bound_mib", [(1, 3.5), (2, 6.0)])
+    def test_traced_peak_memory_of_a_call(self, monkeypatch, cpus, bound_mib):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        run_verification(seed=0)
+        tracemalloc.start()
+        try:
+            run_verification(seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, f"{peak / 2**20:.2f} MiB"
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, cpus):
-        # The third phi_ER_P draw, the seventh padded one, raises while its
-        # task holds the turn; the tasks after it wait for a turn that never
-        # comes until the stop.
-        draw, calls = secprops._padded_half_angles, []
+        # The third phi_ER_P draw, the eighth generator call, raises while
+        # its task holds the turn; the tasks after it wait for a turn that
+        # never comes until the stop.
+        calls, make_rng = [], np.random.default_rng
 
-        def failing(shift, *args):
-            calls.append(shift)
-            if len(calls) == 7:
-                time.sleep(0.1)  # so that the other workers are waiting
-                raise RuntimeError("third phi_erp draw failed")
-            return draw(shift, *args)
+        class FailingGenerator:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    if len(calls) == 8:
+                        time.sleep(0.1)  # so that the other workers are waiting
+                        raise RuntimeError("third phi_erp draw failed")
+                    return method(*args, **kwargs)
+
+                return call
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "_padded_half_angles", failing)
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
         assert isinstance(exc, RuntimeError) and str(exc) == "third phi_erp draw failed"
-        fixed = secprops.FIXED_ENCODING_PHASES
-        assert calls == list(fixed) + [-fixed[0], -fixed[1], -fixed[2]]
+        assert calls == ["uniform"] + ["random"] * 7
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_test_reaches_the_caller(self, monkeypatch, cpus):
-        def failing(labels, phases):
+        def failing(counts):
             raise RuntimeError("mutual information failed")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "mutual_information_bits", failing)
+        monkeypatch.setattr(secprops, "_mi_bits", failing)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
         assert isinstance(exc, RuntimeError) and str(exc) == "mutual information failed"
@@ -507,7 +615,7 @@ class TestVerificationWorkers:
     def test_an_interrupt_in_the_calling_thread_stops_the_others(self, monkeypatch, cpus):
         # The calling thread runs task 0, so the other workers draw ahead and
         # then wait for a turn that the interrupted thread would have taken.
-        tested, uniformity = threading.Event(), secprops._axial_p
+        tested, uniformity = threading.Event(), secprops._doubled_p
 
         def test_then_signal(*args):
             p = uniformity(*args)
@@ -520,7 +628,7 @@ class TestVerificationWorkers:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "_axial_p", test_then_signal)
+        monkeypatch.setattr(secprops, "_doubled_p", test_then_signal)
         monkeypatch.setattr(secprops, "_exact_invariance", interrupted)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
