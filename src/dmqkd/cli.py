@@ -120,7 +120,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"
-    path.write_text("\n".join(decoy.sweep_csv_lines(points)) + "\n")
+    lines = decoy.sweep_csv_lines(points)
+    with path.open("w") as f:  # a line at a time: no joined copy of the file in memory
+        for line in lines:
+            f.write(f"{line}\n")
     cutoff = decoy.cutoff_loss(points)
     at15 = decoy.rate_at_loss(15.0, cfg.link, cfg.intensities)
     print(f"wrote {path} ({len(points)} rows)")

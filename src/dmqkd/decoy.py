@@ -10,6 +10,8 @@ rate of an honest channel, save at a tiny eta*lambda (ROADMAP item 1).
 from __future__ import annotations
 
 import math
+from itertools import chain, compress
+from struct import Struct
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConfigurationError, ModelValidityError
@@ -34,6 +36,33 @@ class RateBreakdown(NamedTuple):
 class SweepPoint(NamedTuple):
     loss_db: float
     breakdown: RateBreakdown
+
+
+# A Sweep's row: loss_db, then the RateBreakdown fields in order.
+_COLUMN = {name: k for k, name in enumerate(("loss_db", *RateBreakdown._fields))}
+_WIDTH = len(_COLUMN)
+# One row as native doubles: frombytes of a packed row stores it in one
+# memcpy, where extend converts each float through the array's item setter.
+_PACK_ROW = Struct(f"{_WIDTH}d").pack
+
+
+class Sweep:
+    """The points of a sweep, kept as one array('d') of _WIDTH doubles per
+    point in row-major order; indexing (negative indices too) gives
+    SweepPoints, and so does iteration, through __getitem__."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values) // _WIDTH
+
+    def __getitem__(self, index: int) -> SweepPoint:
+        start = _WIDTH * range(len(self))[index]  # IndexError past either end
+        row = self.values[start:start + _WIDTH]
+        return tuple.__new__(SweepPoint, (row[0], tuple.__new__(RateBreakdown, row[1:])))
 
 
 # The bound formulas take the exponentials and intensity differences as
@@ -176,32 +205,37 @@ def analytic_class_gains(
     return tuple(GainQber(*_gain_qber(y0, e_det, sig)) for sig in clicks)
 
 
-def _sweep(losses: list[float], params: LinkParams, intens: DecoyIntensities) -> list[SweepPoint]:
-    """analytic_class_gains and secure_key_rate at each of a nondecreasing list
-    of losses, with the same results and the same first error; each point
-    computes only eta, the clicks, the gains, the bounds and the rate."""
-    if not losses:
-        return []
+def _sweep(losses: Iterable[float], params: LinkParams, intens: DecoyIntensities) -> Sweep:
+    """analytic_class_gains and secure_key_rate at each of a nondecreasing
+    series of losses, with the same results and the same first error; each
+    point computes only eta, the clicks, the gains, the bounds and the rate."""
+    from array import array  # off the start-up path: `import array` takes 0.3 ms
+
+    values = array("d")
+    losses = iter(losses)
+    first = next(losses, None)
+    if first is None:
+        return Sweep(values)
     # Only leading losses can be negative, and sweep_point_count keeps the
     # last one finite.
-    _check_loss_db(losses[0])
+    _check_loss_db(first)
     y0, e_det, det_efficiency = params.y0, params.e_det, params.det_efficiency
     mu, nu, omega = intens.mu, intens.nu, intens.omega
-    rate, new, points = _rate_of_gains(params, intens), tuple.__new__, []
-    for loss in losses:
+    rate, pack, store = _rate_of_gains(params, intens), _PACK_ROW, values.frombytes
+    for loss in chain((first,), losses):
         c_mu, c_nu, c_omega = _clicks(_eta(det_efficiency, loss), mu, nu, omega)
         q_mu, e_mu = _gain_qber(y0, e_det, c_mu)
         q_nu, e_nu = _gain_qber(y0, e_det, c_nu)
         q_omega, e_omega = _gain_qber(y0, e_det, c_omega)
-        points.append(new(SweepPoint, (loss, rate(q_mu, e_mu, q_nu, e_nu, q_omega, e_omega))))
-    return points
+        store(pack(loss, *rate(q_mu, e_mu, q_nu, e_nu, q_omega, e_omega)))
+    return Sweep(values)
 
 
 def rate_at_loss(
     loss_db: float, params: LinkParams, intens: DecoyIntensities
 ) -> RateBreakdown:
     """Full analytic pipeline at one channel-loss point."""
-    return _sweep([loss_db], params, intens)[0].breakdown
+    return _sweep((loss_db,), params, intens)[0].breakdown
 
 
 # Most points a sweep may hold.
@@ -237,27 +271,24 @@ def sweep_point_count(loss_min: float, loss_max: float, step: float) -> int:
 
 def sweep_loss(
     loss_min: float, loss_max: float, step: float, params: LinkParams, intens: DecoyIntensities
-) -> list[SweepPoint]:
+) -> Sweep:
     """Evaluate the analytic rate over a loss range (inclusive of both ends)."""
     n = sweep_point_count(loss_min, loss_max, step)
-    return _sweep([loss_min + i * step for i in range(n)], params, intens)
+    return _sweep((loss_min + i * step for i in range(n)), params, intens)
 
 
-def cutoff_loss(points: Iterable[SweepPoint]) -> float | None:
+def cutoff_loss(points: Sweep) -> float | None:
     """Largest swept loss with a positive key rate, or None."""
-    return max((p.loss_db for p in points if p.breakdown.r_bps > 0.0), default=None)
+    values = points.values
+    positive = map((0.0).__lt__, values[_COLUMN["r_bps"]::_WIDTH])
+    return max(compress(values[_COLUMN["loss_db"]::_WIDTH], positive), default=None)
 
 
 SWEEP_CSV_HEADER = "loss_db,q_mu,e_mu,y1_l,e1_u,r_per_pulse,r_bps"
 
 
-def sweep_csv_lines(points: Iterable[SweepPoint]) -> list[str]:
+def sweep_csv_lines(points: Sweep) -> list[str]:
     """CSV rows for a sweep, full double precision."""
-    lines = [SWEEP_CSV_HEADER]
-    for p in points:
-        b = p.breakdown
-        lines.append(
-            f"{p.loss_db!r},{b.q_mu!r},{b.e_mu!r},{b.y1_l!r},{b.e1_u!r},"
-            f"{b.r_per_pulse!r},{b.r_bps!r}"
-        )
-    return lines
+    columns = (map(repr, points.values[_COLUMN[name]::_WIDTH])
+               for name in SWEEP_CSV_HEADER.split(","))
+    return [SWEEP_CSV_HEADER, *map(",".join, zip(*columns))]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -112,6 +113,13 @@ class TestSweep:
         assert len(lines) == 1 + 61
         out = capsys.readouterr().out
         assert "cutoff loss" in out and "r_bps at 15 dB" in out
+
+    def test_csv_at_0_01_db_matches_the_golden_digest(self, tmp_path):
+        # The digest that tests/test_decoy.py::test_golden_sweep_csv pins.
+        assert run("--out", str(tmp_path), "--loss-step", "0.01", "sweep") == EXIT_OK
+        assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+            "261d5dc97fe6878164fe0aace5dc8575865aaf4e84dcb87bb02247b3b6daa6be"
+        )
 
     def test_single_point(self, tmp_path):
         assert run(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -143,8 +144,40 @@ class TestSweep:
         points = sweep_loss(15.0, 15.0, 1.0, LinkParams(), DecoyIntensities())
         assert len(points) == 1
 
+    def test_indexes_like_the_list_of_its_points(self):
+        params, intens = LinkParams(), DecoyIntensities()
+        points = sweep_loss(0.0, 3.0, 1.0, params, intens)
+        expected = [
+            SweepPoint(loss, secure_key_rate(
+                *analytic_class_gains(with_loss(params, loss), intens), params, intens
+            ))
+            for loss in (0.0, 1.0, 2.0, 3.0)
+        ]
+        assert repr(list(points)) == repr(expected)
+        for i in range(-4, 4):
+            assert repr(points[i]) == repr(expected[i])
+            assert type(points[i]) is SweepPoint and type(points[i].breakdown) is RateBreakdown
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                points[i]
+
+    def test_retains_nine_doubles_per_point(self):
+        """A 0-60 dB sweep at 0.01 dB keeps 6,001 x 9 doubles (0.41 MiB), not
+        a pair of tuples and nine float objects per point (2.18 MiB)."""
+        params, intens = LinkParams(), DecoyIntensities()
+        sweep_loss(0.0, 1.0, 0.5, params, intens)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            points = sweep_loss(0.0, 60.0, 0.01, params, intens)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 6001
+        assert retained < 0.6 * 2**20
+
     def test_empty_when_inverted(self):
-        assert sweep_loss(20.0, 10.0, 1.0, LinkParams(), DecoyIntensities()) == []
+        assert list(sweep_loss(20.0, 10.0, 1.0, LinkParams(), DecoyIntensities())) == []
 
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
@@ -448,7 +481,7 @@ def _oracle_sweep(loss_min, loss_max, step, params, intens):
 def _outcome(sweep, *args):
     """repr of the sweep's points, or the type and message of what it raised."""
     try:
-        return repr(sweep(*args))
+        return repr(list(sweep(*args)))
     except DmqkdError as exc:
         return type(exc), str(exc)
 
@@ -464,11 +497,23 @@ def test_sweep_matches_the_point_by_point_oracle(params, e_det, intens, loss_min
     assert _outcome(sweep_loss, *args) == _outcome(_oracle_sweep, *args)
 
 
+def _oracle_csv_lines(points):
+    """The former per-point CSV formatting, kept as the oracle."""
+    lines = [SWEEP_CSV_HEADER]
+    for p in points:
+        b = p.breakdown
+        lines.append(
+            f"{p.loss_db!r},{b.q_mu!r},{b.e_mu!r},{b.y1_l!r},{b.e1_u!r},"
+            f"{b.r_per_pulse!r},{b.r_bps!r}"
+        )
+    return lines
+
+
 @settings(max_examples=100, deadline=None)
 @given(honest_links, decoy_intensities())
 def test_sweep_csv_matches_the_min_max_oracle(params, intens):
     args = (0.0, 80.0, 0.5, params, intens)
-    assert sweep_csv_lines(sweep_loss(*args)) == sweep_csv_lines(_oracle_sweep(*args))
+    assert sweep_csv_lines(sweep_loss(*args)) == _oracle_csv_lines(_oracle_sweep(*args))
 
 
 # Floats at and around every clamp edge, the specials included.
@@ -553,4 +598,4 @@ def test_sweep_raises_what_the_oracle_raises(loss_min, loss_max, step, params, i
 
 
 def test_empty_sweep_reads_no_dark_probability():
-    assert sweep_loss(20.0, 10.0, 1.0, LinkParams(dark_rate=1e9), DecoyIntensities()) == []
+    assert list(sweep_loss(20.0, 10.0, 1.0, LinkParams(dark_rate=1e9), DecoyIntensities())) == []
