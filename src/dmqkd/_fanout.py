@@ -1,12 +1,14 @@
 """One thread per CPU this process may use, for work whose numpy calls release
 the GIL.
 
-fan_out(n_tasks, run) calls run(k, crew) for k in range(crew.workers), with
-crew.workers = min(CPUs, n_tasks): worker 0 in the calling thread, the others
-in threads that are all joined before fan_out returns or raises. The first
-exception a worker raises stops the crew and is re-raised in the caller. A
-worker that must take a generator's draws in task order does so through
-crew.in_turn. With one CPU the same code runs in the calling thread alone.
+fan_out(n_tasks, run) calls run(crew) once in each of crew.workers =
+min(CPUs, n_tasks) workers: one in the calling thread, the others in threads
+that are all joined before fan_out returns or raises. Each worker takes
+tasks 0..n_tasks-1 through crew.claim, which hands out the next task and runs
+its draw under one lock; so draws from a shared generator are taken in task
+order whichever worker claims each task, and no worker waits for a turn. The
+first exception a worker raises stops the crew and is re-raised in the
+caller. With one CPU the same code runs in the calling thread alone.
 """
 
 from __future__ import annotations
@@ -18,54 +20,49 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 
-class Stopped(Exception):
-    """Raised by Crew.in_turn once the crew has stopped."""
-
-
 class Crew:
-    """What the workers of one fan_out share: their count, a stop flag that
-    they check between tasks, and a turn counter for draws taken in order."""
+    """What the workers of one fan_out share: their count and the next task
+    to claim."""
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, n_tasks: int) -> None:
         self.workers = workers
-        self.stopped = False
-        self._turn = 0
-        self._cond = threading.Condition()
+        self._n_tasks = n_tasks
+        self._next = 0
+        self._lock = threading.Lock()
 
     def stop(self) -> None:
-        """Set the stop flag and wake every worker waiting for its turn."""
-        with self._cond:
-            self.stopped = True
-            self._cond.notify_all()
+        """Leave no task to claim."""
+        with self._lock:
+            self._next = self._n_tasks
 
-    def in_turn(self, i: int, draw: Callable[[], T]) -> T:
-        """draw() once turns 0..i-1 have ended, then end turn i; no two draws
-        overlap. Raises Stopped if the crew stops first."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._turn == i or self.stopped)
-            if self.stopped:
-                raise Stopped
-            out = draw()
-            self._turn += 1
-            self._cond.notify_all()
+    def claim(self, draw: Callable[[int], T]) -> T | None:
+        """draw(i) for the next task i, or None once every task is claimed or
+        the crew has stopped; no two draws overlap. A draw that raises stops
+        the crew, so no task is claimed after it."""
+        with self._lock:
+            i = self._next
+            if i == self._n_tasks:
+                return None
+            self._next = self._n_tasks  # stopped, unless draw returns
+            out = draw(i)
+            self._next = i + 1
         return out
 
 
-def fan_out(n_tasks: int, run: Callable[[int, Crew], T]) -> list[T]:
-    """[run(0, crew), ..., run(crew.workers - 1, crew)], run in parallel."""
+def fan_out(n_tasks: int, run: Callable[[Crew], T]) -> list[T]:
+    """run(crew) in each of crew.workers workers in parallel, their results
+    in a list."""
     cpus = (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1
     )
-    crew = Crew(min(cpus, n_tasks))
+    crew = Crew(min(cpus, n_tasks), n_tasks)
     results: list = [None] * crew.workers
     errors: list[BaseException] = []
 
     def work(k: int) -> None:
         try:
-            results[k] = run(k, crew)
-        except Stopped:
-            pass
+            results[k] = run(crew)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
             crew.stop()

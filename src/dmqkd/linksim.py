@@ -21,7 +21,6 @@ import math
 import sys
 from typing import Mapping, Sequence
 
-from ._fanout import Crew, fan_out
 from ._record import Record
 from .errors import ConfigurationError, ModelValidityError, check_seed
 
@@ -248,6 +247,8 @@ def simulate_frames_mc(
     """
     import numpy as np
 
+    from ._fanout import Crew, fan_out
+
     if isinstance(n_frames, bool) or not isinstance(n_frames, (int, np.integer)):
         raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
     if n_frames <= 0:
@@ -268,17 +269,15 @@ def simulate_frames_mc(
     cum = np.cumsum(probs)
     n_blocks = -(-int(n_frames) // DEFAULT_BLOCK_SIZE)
 
-    def run(first: int, crew: Crew) -> tuple[np.ndarray, np.ndarray]:
-        """Tallies of blocks first, first + workers, ... as (sent, clicks)."""
+    def run(crew: Crew) -> tuple[np.ndarray, np.ndarray]:
+        """Tallies of the blocks this worker claims, as (sent, clicks)."""
         # Each draw is consumed by a compare before the next one refills the buffer.
         buf = np.empty(DEFAULT_BLOCK_SIZE)
         row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
         sent = np.zeros(4, dtype=np.int64)
         # Detections by row + 4 * error.
         clicks = np.zeros(8, dtype=np.int64)
-        for b in range(first, n_blocks, crew.workers):
-            if crew.stopped:  # after an error
-                break
+        while (b := crew.claim(lambda b: b)) is not None:
             start = b * DEFAULT_BLOCK_SIZE
             n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))

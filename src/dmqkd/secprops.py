@@ -40,6 +40,11 @@ P_THRESHOLD = 0.01
 MI_THRESHOLD = 0.01
 MI_BINS = 32
 _EXACT_BLOCK = 250  # draws per block of the exact check; 1,000 raised peak RSS
+# run_verification runs each property as _QUARTERS tasks of _QUARTER samples
+# (the exact check's of N_EXACT // _QUARTERS draws); eighths made twice the
+# numpy calls and cost 8% more time, halves saved less memory.
+_QUARTERS = 4
+_QUARTER = N_UNIFORM // _QUARTERS
 
 
 def r_bin_amplitude(pp: PhasePair, phi1: float, phi_rf: float, a: float) -> complex:
@@ -72,17 +77,21 @@ def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.m
     return arr
 
 
-def _rayleigh(angles: np.ndarray, unit: np.ndarray) -> tuple[float, float]:
-    """Rayleigh test of circular uniformity of finite angles, at least 100,
-    with unit a complex buffer of their shape for their unit vectors: returns
-    (z, p), z = n * Rbar^2 with Rbar the mean resultant length and
-    p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p supports uniformity."""
-    # cos and sin written into one complex buffer equal np.exp(1j * angles)
-    # bit for bit, and its complex mean sums in the same order.
+def _unit_sum(angles: np.ndarray, unit: np.ndarray) -> complex:
+    """np.add.reduce of the unit vectors of finite angles, written into unit,
+    a complex buffer of their shape: cos and sin written into one complex
+    buffer equal np.exp(1j * angles) bit for bit."""
     np.cos(angles, out=unit.real)
     np.sin(angles, out=unit.imag)
-    n = angles.size
-    rbar = float(abs(unit.mean()))
+    return np.add.reduce(unit)
+
+
+def _rayleigh(total: complex, n: int) -> tuple[float, float]:
+    """Rayleigh test of circular uniformity of n angles, at least 100, whose
+    unit vectors sum to total: returns (z, p), z = n * Rbar^2 with Rbar the
+    mean resultant length and p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p
+    supports uniformity. total / n is the unit vectors' mean() bit for bit."""
+    rbar = float(abs(total / n))
     z = n * rbar * rbar
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
     # max(p, 0.0) would keep a p of -0.0.
@@ -116,7 +125,8 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
     if arr.size < 100:
         raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
     doubled = arr * 2.0
-    _, p = _rayleigh(_mod_two_pi(doubled, doubled), np.empty(arr.shape, dtype=complex))
+    _, p = _rayleigh(_unit_sum(_mod_two_pi(doubled, doubled), np.empty(arr.shape, dtype=complex)),
+                     arr.size)
     return p
 
 
@@ -210,9 +220,9 @@ _BB84_PHASES = np.array([[float(pp.phi12), float(pp.phi23)] for pp in
 FIXED_ENCODING_PHASES = tuple(sorted(set(_BB84_PHASES.ravel().tolist())))
 
 
-def _exact_invariance(draws: np.ndarray) -> dict:
-    """Exact R-bin (and R_P-bin) indistinguishability across the four
-    encodings at each (phi1, phi_rf) row of draws, in blocks of rows:
+def _max_spread(draws: np.ndarray) -> float:
+    """The largest spread of the R-bin (and R_P-bin) amplitude across the four
+    encodings over the (phi1, phi_rf) rows of draws, in blocks of rows:
     r_bin_amplitude's complex products in CPython's float order (0.5 * z is
     (0.5+0j) * z), so each spread is bit-identical to it."""
     phi12, phi23 = _BB84_PHASES[:, :1], _BB84_PHASES[:, 1:]
@@ -224,20 +234,27 @@ def _exact_invariance(draws: np.ndarray) -> dict:
         br, bi = 1.0 + f.real, 0.0 + f.imag
         re, im = ar * br - ai * bi, ar * bi + ai * br
         max_dev = max(max_dev, float(np.hypot(re[1:] - re[0], im[1:] - im[0]).max()))
+    return max_dev
+
+
+def _exact_invariance(spreads: list[float]) -> dict:
+    """Exact R-bin indistinguishability across the four encodings, from the
+    _max_spread of each quarter of the N_EXACT draws."""
+    max_dev = max(spreads)
     return {
         "name": "r_bin_amplitude_encoding_invariance",
         "passed": max_dev < 1e-12,
         "max_deviation": max_dev,
-        "draws": len(draws),
+        "draws": N_EXACT,
     }
 
 
 class _Buffers(NamedTuple):
-    """One run_verification worker's arrays for its statistical tests, freed
-    when the call returns: their samples, the bool mask of _mod_two_pi and
-    the unit vectors of _rayleigh. The float turns of _mod_two_pi share the
-    unit vectors' first half, which a test writes only after its last
-    reduction mod 2*pi; the MI test's int64 phase bins share their second."""
+    """One run_verification worker's arrays for its quarter tasks, freed when
+    the call returns: their samples, the bool mask of _mod_two_pi and the
+    unit vectors of _unit_sum. The float turns of _mod_two_pi share the unit
+    vectors' first half, which a test writes only after its last reduction
+    mod 2*pi; the MI test's int64 phase bins share their second."""
 
     samples: np.ndarray
     mask: np.ndarray
@@ -248,29 +265,44 @@ class _Buffers(NamedTuple):
         return self.unit.view(np.float64)[: self.samples.size]
 
 
-def _doubled_p(doubled: np.ndarray, bufs: _Buffers) -> float:
-    """axial_uniformity_p of the half-angles (doubled mod 2*pi) / 2, bit for
-    bit, from one reduction of doubled mod 2*pi in place: a result rounded to
-    exactly 2*pi is folded to 0.0, as halving, doubling and reducing again
-    would fold it (sin(2*pi) is not 0)."""
+def _tree_sum(leaves: list[complex]) -> complex:
+    """np.add.reduce of the N_UNIFORM unit vectors whose _QUARTERS quarters
+    sum to leaves, bit for bit: its pairwise summation halves the 2 * N_UNIFORM
+    doubles at N_UNIFORM and then at N_UNIFORM / 2, so the quarter sums are
+    the leaves of its tree, and it adds them in this order."""
+    l0, l1, l2, l3 = leaves
+    return (l0 + l1) + (l2 + l3)
+
+
+def _doubled_sum(doubled: np.ndarray, bufs: _Buffers) -> complex:
+    """_unit_sum of the doubled angles of the half-angles (doubled mod 2*pi)
+    / 2, bit for bit, from one reduction of doubled mod 2*pi in place: a
+    result rounded to exactly 2*pi is folded to 0.0, as halving, doubling
+    and reducing again would fold it (sin(2*pi) is not 0)."""
     _mod_two_pi(doubled, doubled, bufs.turns, bufs.mask)
     doubled[np.equal(doubled, TWO_PI, out=bufs.mask)] = 0.0
-    _, p = _rayleigh(doubled, bufs.unit)
-    return p
+    return _unit_sum(doubled, bufs.unit)
 
 
-def _uniformity(name: str, shift: float, pads: np.ndarray, bufs: _Buffers) -> dict:
-    """One-time-pad uniformity of leakage phases at one fixed setting: the
-    doubled angles pads * 2*pi + shift, the pads overwritten."""
+def _padded_sum(shift: float, pads: np.ndarray, bufs: _Buffers) -> complex:
+    """A quarter of a one-time-pad uniformity test at one fixed setting: the
+    _doubled_sum of the doubled angles pads * 2*pi + shift, pads overwritten."""
     pads *= TWO_PI
     pads += shift
-    p = _doubled_p(pads, bufs)
-    return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": pads.size}
+    return _doubled_sum(pads, bufs)
 
 
-def _bit_independence(bits: np.ndarray, bufs: _Buffers) -> dict:
-    """Mutual information between random Z-basis bits and phi_LR at each
-    bit's phi23, from the pads in bufs.samples; bits is overwritten."""
+def _uniformity(name: str, leaves: list[complex]) -> dict:
+    """One-time-pad uniformity of leakage phases at one fixed setting, from
+    the _padded_sum of each quarter."""
+    _, p = _rayleigh(_tree_sum(leaves), N_UNIFORM)
+    return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": N_UNIFORM}
+
+
+def _bit_counts(bits: np.ndarray, bufs: _Buffers) -> np.ndarray:
+    """A quarter of the MI test: the joint counts, label * MI_BINS + bin, of
+    random Z-basis bits and the phase bin of phi_LR at each bit's phi23, from
+    the pads in bufs.samples; bits is overwritten."""
     phi_lr = bufs.samples
     phi_lr *= TWO_PI
     phi_lr += np.take(_BB84_PHASES[:, 1], bits, mode="clip", out=bufs.turns)
@@ -278,28 +310,40 @@ def _bit_independence(bits: np.ndarray, bufs: _Buffers) -> dict:
     phi_lr /= 2.0
     bits *= MI_BINS
     bits += _phase_bins(phi_lr, bufs.unit.view(np.int64)[phi_lr.size:], bufs.turns, bufs.mask)
-    mi = _mi_bits(np.bincount(bits, minlength=2 * MI_BINS).reshape(2, MI_BINS))
+    return np.bincount(bits, minlength=2 * MI_BINS)
+
+
+def _bit_independence(counts: list[np.ndarray]) -> dict:
+    """Mutual information between random Z-basis bits and phi_LR, from the
+    _bit_counts of each quarter."""
+    mi = _mi_bits(sum(counts).reshape(2, MI_BINS))
     return {
         "name": "bit_phi_lr_mutual_information",
         "passed": mi < MI_THRESHOLD,
         "mi_bits": mi,
-        "samples": bits.size,
+        "samples": N_UNIFORM,
     }
 
 
-def _negative_control(padding: np.ndarray, bufs: _Buffers) -> dict:
-    """A padding phase concentrated around 0 leaks, and the uniformity test
-    must detect it: standard normal padding, scaled to 0.3 rad and reduced
-    mod 2*pi, then padded by pi. The test overwrites padding."""
+def _control_sum(padding: np.ndarray, bufs: _Buffers) -> complex:
+    """A quarter of the negative control: standard normal padding, scaled to
+    0.3 rad and reduced mod 2*pi, then padded by pi; the _doubled_sum of
+    that, padding overwritten."""
     padding *= 0.3
     _mod_two_pi(padding, padding, bufs.turns, bufs.mask)
     padding += math.pi
-    p = _doubled_p(padding, bufs)
+    return _doubled_sum(padding, bufs)
+
+
+def _negative_control(leaves: list[complex]) -> dict:
+    """A padding phase concentrated around 0 leaks, and the uniformity test
+    must detect it: from the _control_sum of each quarter."""
+    _, p = _rayleigh(_tree_sum(leaves), N_UNIFORM)
     return {
         "name": "negative_control_nonuniform_detected",
         "passed": p < P_THRESHOLD,
         "p_value": p,
-        "samples": padding.size,
+        "samples": N_UNIFORM,
     }
 
 
@@ -313,50 +357,68 @@ def run_verification(seed: int = 0) -> dict:
     (its uniformity test must fail).
 
     Each property is a draw from the one generator and a test of that draw
-    alone. The properties run on one thread per CPU the process may use,
-    taking their draws in the order listed, so the report does not depend on
-    the number of threads.
+    alone, run as _QUARTERS tasks over a quarter of the draw each, whose
+    partial results are then combined. The tasks run on one thread per CPU
+    the process may use, which claim them in the order listed and take their
+    draws as they claim them, so the report does not depend on the number
+    of threads.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    # Each task is draw(bufs), generator calls alone, and test(drawn, bufs),
-    # given the buffers of the worker that runs it.
-    tasks = [(lambda bufs: rng.uniform(0.0, TWO_PI, size=(N_EXACT, 2)),
-              lambda draws, bufs: _exact_invariance(draws))]
+    bits = []  # the MI test's, drawn whole by its first quarter
+
+    def mi_draw(q: int, bufs: _Buffers) -> np.ndarray:
+        if q == 0:
+            bits.append(rng.integers(0, 2, size=N_UNIFORM))
+        rng.random(out=bufs.samples)
+        return bits[0][q * _QUARTER:(q + 1) * _QUARTER]
+
+    # Each property is draw(q, bufs), quarter q's generator calls alone,
+    # test(drawn, bufs), given the buffers of the worker that claims the
+    # quarter, and finish(partials) over the quarters' results. A quarter's
+    # draws continue the same stream: the four quarters' rng.random(out=),
+    # rng.standard_normal(out=) or rng.uniform rows are the whole draw's.
+    properties = [(lambda q, bufs: rng.uniform(0.0, TWO_PI, size=(N_EXACT // _QUARTERS, 2)),
+                   lambda draws, bufs: _max_spread(draws), _exact_invariance)]
     # phi_LR pads +phi23 and phi_ER_P pads -phi12, as sample_phi_lr and
     # sample_phi_erp do, with rng.random times TWO_PI as their pads.
     for name, sign in (("phi_lr", 1.0), ("phi_erp", -1.0)):
         for fixed in FIXED_ENCODING_PHASES:
-            tasks.append((
-                lambda bufs: rng.random(out=bufs.samples),
-                functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi",
-                                  sign * fixed),
+            properties.append((
+                lambda q, bufs: rng.random(out=bufs.samples),
+                functools.partial(_padded_sum, sign * fixed),
+                functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi"),
             ))
-    tasks.append((lambda bufs: (rng.integers(0, 2, size=N_UNIFORM),
-                                rng.random(out=bufs.samples))[0],
-                  _bit_independence))
+    properties.append((mi_draw, _bit_counts, _bit_independence))
     # standard_normal times 0.3 leaves the generator as normal(0.0, 0.3) does
     # and is its draws bit for bit, but for the sign of an exact zero: normal
     # computes 0.0 + 0.3 * standard_normal(), and the control's first
     # reduction mod 2*pi clears that sign too.
-    tasks.append((lambda bufs: rng.standard_normal(out=bufs.samples), _negative_control))
-    properties: list = [None] * len(tasks)
+    properties.append((lambda q, bufs: rng.standard_normal(out=bufs.samples),
+                       _control_sum, _negative_control))
+    partials: list = [None] * (len(properties) * _QUARTERS)
 
-    def run(first: int, crew: Crew) -> None:
-        # Only the generator calls take the turn; each test runs outside it,
-        # in parallel with the next draws. Every test of this worker runs in
-        # these buffers from draw to statistic: arrays made and freed per test
-        # were faulted in afresh by each test, since glibc hands freed ones
-        # back to the kernel.
-        bufs = _Buffers(np.empty(N_UNIFORM), np.empty(N_UNIFORM, dtype=bool),
-                        np.empty(N_UNIFORM, dtype=complex))
-        for i in range(first, len(tasks), crew.workers):
-            draw, test = tasks[i]
-            properties[i] = test(crew.in_turn(i, functools.partial(draw, bufs)), bufs)
+    def run(crew: Crew) -> None:
+        # Only the generator calls hold the claim; each test runs outside it,
+        # in parallel with the next draws. Every task of this worker runs in
+        # these buffers from draw to partial result: arrays made and freed per
+        # test were faulted in afresh by each test, since glibc hands freed
+        # ones back to the kernel.
+        bufs = _Buffers(np.empty(_QUARTER), np.empty(_QUARTER, dtype=bool),
+                        np.empty(_QUARTER, dtype=complex))
 
-    fan_out(len(tasks), run)
+        def draw(i: int) -> tuple[int, object]:
+            return i, properties[i // _QUARTERS][0](i % _QUARTERS, bufs)
+
+        while (claimed := crew.claim(draw)) is not None:
+            i, drawn = claimed
+            partials[i] = properties[i // _QUARTERS][1](drawn, bufs)
+
+    fan_out(len(partials), run)
+    report = [finish(partials[k * _QUARTERS:(k + 1) * _QUARTERS])
+              for k, (_, _, finish) in enumerate(properties)]
     return {
         "seed": seed,
-        "all_passed": all(p["passed"] for p in properties),
-        "properties": properties,
+        "all_passed": all(p["passed"] for p in report),
+        "properties": report,
     }

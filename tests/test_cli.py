@@ -311,7 +311,8 @@ class TestWriteDefaults:
 
 
 # Run in a fresh interpreter: the CLI, a config round trip and every command
-# that computes no arrays leave numpy unimported; encode then imports it.
+# that computes no arrays leave numpy and the thread helper dmqkd._fanout
+# unimported; encode then imports numpy.
 _NO_NUMPY_SCRIPT = """
 import sys
 from pathlib import Path
@@ -324,7 +325,7 @@ assert main(["write-defaults", str(tmp / "defaults.txt")]) == 0
 assert main(["--out", str(tmp), "sweep"]) == 0
 assert main(["--help"]) == 0
 assert main(["--frames", "5", "mc"]) == 1
-for name in ("numpy", "dataclasses", "inspect"):
+for name in ("numpy", "dataclasses", "inspect", "dmqkd._fanout"):
     assert name not in sys.modules, f"{name} imported"
 (tmp / "stream.txt").write_text("Z0s Y1s Z0d Z1v")
 assert main(["--out", str(tmp), "encode", str(tmp / "stream.txt")]) == 0

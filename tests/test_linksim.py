@@ -442,7 +442,7 @@ class TestWorkers:
         monkeypatch.setattr(np.random, "default_rng", failing_rng)
         with pytest.raises(RuntimeError, match="^block 0 failed$"):
             simulate_frames_mc(200 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
-        # Worker 1 owns 100 blocks; it stops at its next block, not its last.
+        # The other worker stops at its next claim, not after the 200 blocks.
         assert len(started) < 50
 
 

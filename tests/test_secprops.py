@@ -22,6 +22,7 @@ from dmqkd.secprops import (
     N_EXACT,
     _mod_two_pi,
     _rayleigh,
+    _unit_sum,
     axial_uniformity_p,
     mutual_information_bits,
     r_bin_amplitude,
@@ -72,7 +73,7 @@ class TestLeakagePhases:
 
 def _rayleigh_of(angles):
     """_rayleigh of a float array, with a fresh buffer for its unit vectors."""
-    return _rayleigh(angles, np.empty(angles.shape, dtype=complex))
+    return _rayleigh(_unit_sum(angles, np.empty(angles.shape, dtype=complex)), angles.size)
 
 
 class TestUniformityStats:
@@ -214,10 +215,10 @@ def _rayleigh_by_exp(samples):
 
 
 @st.composite
-def _angle_arrays(draw):
+def _angle_arrays(draw, sizes=st.integers(100, 5000)):
     """At least 100 angles: uniform, normal, huge or negative."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(100, 5000))
+    n = draw(sizes)
     kind = draw(st.sampled_from(["uniform", "normal", "huge", "negative"]))
     if kind == "uniform":
         return rng.uniform(0.0, TWO_PI, n)
@@ -232,6 +233,51 @@ def _angle_arrays(draw):
 @given(_angle_arrays())
 def test_rayleigh_matches_the_complex_exponential_bit_for_bit(samples):
     assert repr(_rayleigh_of(samples)) == repr(_rayleigh_by_exp(samples))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_angle_arrays(st.just(secprops.N_UNIFORM)))
+def test_quarter_sums_are_the_leaves_of_the_whole_sum(angles):
+    """run_verification's premise for its uniformity tests: the unit vectors'
+    sums over four quarters of N_UNIFORM angles, combined in tree order, are
+    np.add.reduce over all of them, and over N_UNIFORM their mean."""
+    unit = np.exp(1j * angles)
+    leaves = [np.add.reduce(quarter) for quarter in np.split(unit, secprops._QUARTERS)]
+    whole, combined = np.add.reduce(unit), secprops._tree_sum(leaves)
+    assert repr(complex(combined)) == repr(complex(whole)), (
+        "premise broken: np.add.reduce's pairwise tree over N_UNIFORM complex values"
+        f" no longer has the quarter sums as its leaves ({combined!r} != {whole!r})"
+    )
+    assert repr(complex(combined / angles.size)) == repr(complex(unit.mean())), (
+        "premise broken: mean() is no longer np.add.reduce divided by the count"
+    )
+
+
+# Each draw of run_verification's quarter tasks, as a draw of 1/parts of the whole.
+_QUARTER_DRAWS = [
+    ("random(out=)", lambda g, parts: g.random(out=np.empty(secprops.N_UNIFORM // parts))),
+    ("standard_normal(out=)",
+     lambda g, parts: g.standard_normal(out=np.empty(secprops.N_UNIFORM // parts))),
+    ("uniform rows", lambda g, parts: g.uniform(0.0, TWO_PI, size=(N_EXACT // parts, 2))),
+]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+@pytest.mark.parametrize("name,draw", _QUARTER_DRAWS, ids=[d[0] for d in _QUARTER_DRAWS])
+def test_quarter_draws_continue_the_whole_draw(name, draw, seed):
+    """run_verification's premise for its quarter tasks: four draws of a
+    quarter each are the whole draw, and leave the generator where it does."""
+    whole, quartered = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = draw(whole, 1)
+    quarters = secprops._QUARTERS
+    got = np.concatenate([draw(quartered, quarters) for _ in range(quarters)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+        f"premise broken: four quarter draws of {name} differ from the whole draw"
+    )
+    assert quartered.bit_generator.state == whole.bit_generator.state, (
+        f"premise broken: four quarter draws of {name} leave the generator elsewhere"
+    )
 
 
 def _edges(v):
@@ -376,46 +422,63 @@ class TestSamplers:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.one_of(st.integers(100, 3000), st.just(secprops.N_UNIFORM)))
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(25, 750).map(lambda k: 4 * k), st.just(secprops._QUARTER)))
 def test_worker_buffers_match_the_allocating_functions_bit_for_bit(seed, n):
-    """One set of worker buffers, dirty from the test before, run through
-    the one-pass kernels as run_verification calls them: the uniformity test
-    at every fixed phase of both samplers, the MI test and the negative
-    control. Each statistic equals the allocating functions' on the same
-    draws (sample_phi_*, axial_uniformity_p, mutual_information_bits), and
-    the formula over rng.uniform and rng.normal, and each generator ends in
-    the same state. Last, planted pads whose reduction rounds to 2*pi."""
+    """One set of worker buffers of n samples, dirty from the test before,
+    run through the quarter kernels as run_verification calls them, four
+    quarters per property: the uniformity test at every fixed phase of both
+    samplers, the MI test and the negative control. Each statistic, from the
+    quarters' partial results, equals the allocating functions' on the same
+    4 * n draws (sample_phi_*, axial_uniformity_p, mutual_information_bits),
+    and the formula over rng.uniform and rng.normal, and each generator ends
+    in the same state. With n a multiple of 4, the quarters' sums are the
+    leaves of np.add.reduce's tree over 4 * n values, as at N_UNIFORM. Last,
+    planted pads whose reduction rounds to 2*pi."""
     bufs = secprops._Buffers(np.full(n, math.nan), np.ones(n, dtype=bool),
                              np.full(n, complex(math.nan, math.nan)))
+    quarters = range(secprops._QUARTERS)
 
     def same_bits(a, b):
         return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    def p_value(leaves):
+        return _rayleigh(secprops._tree_sum(leaves), 4 * n)[1]
+
     buffered, allocating, formula = (np.random.default_rng(seed) for _ in range(3))
     for sampler, sign in ((sample_phi_lr, 1.0), (sample_phi_erp, -1.0)):
         for fixed in secprops.FIXED_ENCODING_PHASES:
-            pads = buffered.random(out=bufs.samples)
-            p = secprops._uniformity("u", sign * fixed, pads, bufs)["p_value"]
-            want = sampler(fixed, n, allocating)
-            assert same_bits(pads, np.remainder(2.0 * want, TWO_PI))
-            uniform = formula.uniform(0.0, TWO_PI, size=n)
+            leaves, doubled = [], []
+            for _ in quarters:
+                pads = buffered.random(out=bufs.samples)
+                leaves.append(secprops._padded_sum(sign * fixed, pads, bufs))
+                doubled.append(pads.copy())
+            p = p_value(leaves)
+            want = sampler(fixed, 4 * n, allocating)
+            assert same_bits(np.concatenate(doubled), np.remainder(2.0 * want, TWO_PI))
+            uniform = formula.uniform(0.0, TWO_PI, size=4 * n)
             assert same_bits(want, np.remainder(uniform + sign * fixed, TWO_PI) / 2.0)
             assert repr(p) == repr(axial_uniformity_p(want))
             assert repr(p) == repr(_rayleigh_by_exp(np.remainder(2.0 * want, TWO_PI))[1])
             assert buffered.bit_generator.state == allocating.bit_generator.state
             assert buffered.bit_generator.state == formula.bit_generator.state
-    bits = buffered.integers(0, 2, size=n)
-    buffered.random(out=bufs.samples)
-    mi = secprops._bit_independence(bits.copy(), bufs)["mi_bits"]
-    want_bits = allocating.integers(0, 2, size=n)
-    want = sample_phi_lr(secprops._BB84_PHASES[want_bits, 1], n, allocating)
+    bits = buffered.integers(0, 2, size=4 * n)
+    labels, counts = bits.copy(), []
+    for q in quarters:
+        buffered.random(out=bufs.samples)
+        counts.append(secprops._bit_counts(labels[q * n:(q + 1) * n], bufs))
+    mi = secprops._mi_bits(sum(counts).reshape(2, secprops.MI_BINS))
+    want_bits = allocating.integers(0, 2, size=4 * n)
+    want = sample_phi_lr(secprops._BB84_PHASES[want_bits, 1], 4 * n, allocating)
     assert repr(mi) == repr(mutual_information_bits(want_bits, want))
     assert repr(mi) == repr(_mi_by_histogram(bits, want))
-    buffered.standard_normal(out=bufs.samples)
-    p = secprops._negative_control(bufs.samples, bufs)["p_value"]
-    concentrated = np.remainder(np.remainder(allocating.normal(0.0, 0.3, size=n), TWO_PI)
+    leaves = []
+    for _ in quarters:
+        buffered.standard_normal(out=bufs.samples)
+        leaves.append(secprops._control_sum(bufs.samples, bufs))
+    concentrated = np.remainder(np.remainder(allocating.normal(0.0, 0.3, size=4 * n), TWO_PI)
                                 + math.pi, TWO_PI) / 2.0
-    assert repr(p) == repr(axial_uniformity_p(concentrated))
+    assert repr(p_value(leaves)) == repr(axial_uniformity_p(concentrated))
     assert buffered.bit_generator.state == allocating.bit_generator.state
     # A pad of 0.0 at a shift just below 0 reduces to exactly 2*pi, whose
     # half-angle pi doubles and reduces again to 0.0. The one-pass kernel
@@ -425,7 +488,7 @@ def test_worker_buffers_match_the_allocating_functions_bit_for_bit(seed, n):
         pads[::3] = 0.0
         halves = np.remainder(pads * TWO_PI + shift, TWO_PI) / 2.0
         assert halves[0] == math.pi
-        p = secprops._uniformity("u", shift, pads, bufs)["p_value"]
+        p = _rayleigh(secprops._padded_sum(shift, pads, bufs), n)[1]
         assert repr(p) == repr(axial_uniformity_p(halves))
         # The doubled angles, left in the pads' buffer, are the round trip's.
         assert same_bits(pads, np.remainder(2.0 * halves, TWO_PI)) and pads[0] == 0.0
@@ -523,18 +586,19 @@ def _within_watchdog(fn, timeout=60.0):
 
 
 class TestVerificationWorkers:
-    """run_verification runs its properties on one thread per CPU the process
-    may use, up to one per property, taking the draws in order: the report
-    must not depend on the thread count, a failed task must reach the caller,
-    and no thread may outlive the call."""
+    """run_verification runs its properties' quarter tasks on one thread per
+    CPU the process may use, up to one per task, which take the draws in
+    order as they claim the tasks: the report must not depend on the thread
+    count, a failed task must reach the caller and stop the others, and no
+    thread may outlive the call."""
 
     def test_report_does_not_depend_on_the_worker_count(self, monkeypatch):
         crews = []
 
         class RecordingCrew(_fanout.Crew):
-            def __init__(self, workers):
+            def __init__(self, workers, n_tasks):
                 crews.append(workers)
-                super().__init__(workers)
+                super().__init__(workers, n_tasks)
 
         monkeypatch.setattr(_fanout, "Crew", RecordingCrew)
         threads = threading.active_count()
@@ -548,15 +612,16 @@ class TestVerificationWorkers:
                 reports[cpus] = [run_verification(seed=seed) for seed in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        assert crews == [1] * 5 + [2] * 5 + [3] * 5 + [11] * 5
+        assert crews == [1] * 5 + [2] * 5 + [3] * 5 + [16] * 5
         assert all(r == reports[1] for r in reports.values())
         assert reports[1] == [_report(seed) for seed in range(5)]
         assert threading.active_count() == threads
 
-    # Measured peaks of 3.22 MiB on 1 CPU and 5.61-5.67 MiB on 2 (each
-    # worker's 2.4 MiB of buffers and the MI task's 0.76 MiB of bits), with
-    # 0.3 MiB of slack; the MI task's allocating histogram read 8.0 on 2.
-    @pytest.mark.parametrize("cpus,bound_mib", [(1, 3.5), (2, 6.0)])
+    # Measured peaks of 1.43 MiB on 1 CPU and 2.04-2.10 MiB on 2 (each
+    # worker's 0.60 MiB of quarter buffers and the MI test's 0.76 MiB of
+    # bits), with 0.3 MiB of slack; buffers for whole properties read 3.22
+    # and 5.61, and the MI test's allocating histogram 8.0 on 2.
+    @pytest.mark.parametrize("cpus,bound_mib", [(1, 1.75), (2, 2.4)])
     def test_traced_peak_memory_of_a_call(self, monkeypatch, cpus, bound_mib):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         run_verification(seed=0)
@@ -570,9 +635,9 @@ class TestVerificationWorkers:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, cpus):
-        # The third phi_ER_P draw, the eighth generator call, raises while
-        # its task holds the turn; the tasks after it wait for a turn that
-        # never comes until the stop.
+        # The third phi_ER_P draw, at its first quarter the 29th generator
+        # call, raises while its task holds the claim; the other workers,
+        # waiting for the claim, then find no task to claim.
         calls, make_rng = [], np.random.default_rng
 
         class FailingGenerator:
@@ -584,7 +649,7 @@ class TestVerificationWorkers:
 
                 def call(*args, **kwargs):
                     calls.append(name)
-                    if len(calls) == 8:
+                    if len(calls) == 29:
                         time.sleep(0.1)  # so that the other workers are waiting
                         raise RuntimeError("third phi_erp draw failed")
                     return method(*args, **kwargs)
@@ -596,16 +661,30 @@ class TestVerificationWorkers:
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
         assert isinstance(exc, RuntimeError) and str(exc) == "third phi_erp draw failed"
-        assert calls == ["uniform"] + ["random"] * 7
+        assert calls == ["uniform"] * 4 + ["random"] * 25
         assert threading.active_count() == before
+
+    def test_claims_run_in_task_order_and_end_at_a_failed_draw_or_a_stop(self):
+        crew = _fanout.Crew(1, 4)
+        assert [crew.claim(lambda i: i) for _ in range(2)] == [0, 1]
+
+        def failing(i):
+            raise RuntimeError(f"draw {i} failed")
+
+        with pytest.raises(RuntimeError, match="^draw 2 failed$"):
+            crew.claim(failing)
+        assert crew.claim(lambda i: i) is None
+        stopped = _fanout.Crew(1, 4)
+        stopped.stop()
+        assert stopped.claim(lambda i: i) is None
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_test_reaches_the_caller(self, monkeypatch, cpus):
-        def failing(counts):
+        def failing(bits, bufs):
             raise RuntimeError("mutual information failed")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "_mi_bits", failing)
+        monkeypatch.setattr(secprops, "_bit_counts", failing)
         before = threading.active_count()
         exc = _within_watchdog(lambda: run_verification(seed=0))
         assert isinstance(exc, RuntimeError) and str(exc) == "mutual information failed"
@@ -613,24 +692,34 @@ class TestVerificationWorkers:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_an_interrupt_in_the_calling_thread_stops_the_others(self, monkeypatch, cpus):
-        # The calling thread runs task 0, so the other workers draw ahead and
-        # then wait for a turn that the interrupted thread would have taken.
-        tested, uniformity = threading.Event(), secprops._doubled_p
+        # The calling thread is interrupted in the first uniformity quarter
+        # it claims, once every other worker has run one and is held there.
+        # After the interrupt the others stop claiming: without the stop they
+        # would run the rest of the 36 uniformity and control quarters.
+        caller, doubled_sum = [], secprops._doubled_sum
+        ran, others_ran, interrupting = [], threading.Semaphore(0), threading.Event()
 
-        def test_then_signal(*args):
-            p = uniformity(*args)
-            tested.set()
-            return p
+        def test_or_interrupt(*args):
+            if threading.get_ident() == caller[0]:
+                for _ in range(cpus - 1):
+                    assert others_ran.acquire(timeout=10.0), "no other worker ran a test"
+                interrupting.set()
+                raise KeyboardInterrupt
+            total = doubled_sum(*args)
+            ran.append(total)
+            if len(ran) < cpus:
+                others_ran.release()
+                assert interrupting.wait(10.0), "the calling thread was not interrupted"
+            return total
 
-        def interrupted(draws):
-            assert tested.wait(10.0), "no uniformity test ran"
-            time.sleep(0.1)  # so that the other workers are waiting
-            raise KeyboardInterrupt
+        def call():
+            caller.append(threading.get_ident())
+            run_verification(seed=0)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(secprops, "_doubled_p", test_then_signal)
-        monkeypatch.setattr(secprops, "_exact_invariance", interrupted)
+        monkeypatch.setattr(secprops, "_doubled_sum", test_or_interrupt)
         before = threading.active_count()
-        exc = _within_watchdog(lambda: run_verification(seed=0))
+        exc = _within_watchdog(call)
         assert isinstance(exc, KeyboardInterrupt)
+        assert len(ran) < 12, f"{len(ran)} uniformity and control quarters ran"
         assert threading.active_count() == before
