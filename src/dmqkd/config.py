@@ -15,7 +15,7 @@ from pathlib import Path
 from ._record import Record
 from .decoy import sweep_point_count
 from .errors import ConfigurationError, check_seed
-from .linksim import DecoyIntensities, LinkParams, default_state_probs
+from .linksim import DEFAULT_Z_MIX, DecoyIntensities, LinkParams, default_state_probs
 from .photonics import CalibrationCurve, TimingParams
 
 # Fewest and most frames an MC run may draw; the cap is tens of minutes of
@@ -57,7 +57,7 @@ class RunConfig(Record):
     intensities: DecoyIntensities = DecoyIntensities()
     timing: TimingParams = TimingParams()
     calibration: CalibrationCurve = CalibrationCurve()
-    z_mix: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    z_mix: tuple[float, float, float] = DEFAULT_Z_MIX
     sweep: SweepSpec = SweepSpec()
     mc: McSpec = McSpec()
 

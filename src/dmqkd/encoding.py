@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
-from .photonics import _TIMING_FIELDS, CalibrationCurve, Phase, TimingParams
+from .photonics import CalibrationCurve, Phase, TimingParams
 
 SIGNAL = "signal"
 DECOY = "decoy"
@@ -362,7 +362,7 @@ def schedule_to_text(sched: WaveformSchedule) -> str:
     time. Floats use repr (shortest round-trip), so output is byte-stable.
     """
     header = "# timing " + " ".join(
-        f"{name}={getattr(sched.timing, name)!r}" for name in _TIMING_FIELDS
+        f"{name}={getattr(sched.timing, name)!r}" for name in TimingParams.field_names
     )
     pieces = _row_pieces(sched.events, lambda ch: ch + " ", lambda ch, d, lv: f" {d!r} {lv!r}\n")
     pieces.insert(0, header + "\n")
@@ -449,12 +449,12 @@ def schedule_from_text(text: str) -> WaveformSchedule:
             number = float(value)
         except ValueError as exc:
             raise ScheduleParseError(f"bad timing token {tok!r}") from exc
-        if name not in _TIMING_FIELDS or name in kv:
+        if name not in TimingParams.field_names or name in kv:
             what = "duplicate" if name in kv else "unknown"
             raise ScheduleParseError(f"{what} timing field {name!r}")
         kv[name] = number
     try:
-        timing = TimingParams(**{name: kv[name] for name in _TIMING_FIELDS})
+        timing = TimingParams(**{name: kv[name] for name in TimingParams.field_names})
     except (KeyError, ConfigurationError) as exc:
         raise ScheduleParseError(f"invalid timing header: {exc}") from exc
     if "\0" not in text:  # numpy's str column would drop a name's trailing NULs

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 from ._record import Record
 from .errors import ConfigurationError, ModelValidityError, check_seed
+from .photonics import TimingParams
 
 # (intensity_class, basis) rows of every tally; Y carries signal states only.
 STATE_ROWS: tuple[tuple[str, str], ...] = (
@@ -33,6 +34,7 @@ STATE_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+DEFAULT_Z_MIX = (1 / 3, 1 / 3, 1 / 3)  # Z-basis (signal, decoy, vacuum) mix
 
 
 def _row_index(key: tuple[str, str]) -> int:
@@ -78,7 +80,7 @@ class LinkParams(Record):
     det_efficiency: float = 0.7
     dark_rate: float = 50.0
     window: float = 300e-12
-    clock: float = 2e9 / 3.0
+    clock: float = TimingParams.master_rate
     p_y_alice: float = 0.9
     p_y_bob: float = 0.9
     e_det: float = 0.033
@@ -183,7 +185,7 @@ class TallyCounts(Record, frozen=False):
 
 
 def default_state_probs(
-    params: LinkParams, z_mix: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)
+    params: LinkParams, z_mix: Sequence[float] = DEFAULT_Z_MIX
 ) -> dict[tuple[str, str], float]:
     """Alice's per-frame state mix: p_y_alice on (signal, Y), the rest split
     over the Z-basis classes according to z_mix."""

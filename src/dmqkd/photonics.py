@@ -166,7 +166,7 @@ class TimingParams(Record):
     slave_on_time: float = 300e-12
 
     def __post_init__(self) -> None:
-        for name in _TIMING_FIELDS:
+        for name in self.field_names:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"{name} must be > 0, got {v!r}")
@@ -192,6 +192,3 @@ class TimingParams(Record):
     @property
     def symbol_period(self) -> float:
         return 1.0 / self.master_rate
-
-
-_TIMING_FIELDS = TimingParams.field_names

@@ -179,6 +179,5 @@ class TestTimingParams:
 def test_encoding_reexports_the_timing_and_calibration_classes():
     assert encoding.TimingParams is photonics.TimingParams
     assert encoding.CalibrationCurve is photonics.CalibrationCurve
-    assert encoding._TIMING_FIELDS is photonics._TIMING_FIELDS
     assert type(RunConfig().timing) is photonics.TimingParams
     assert type(RunConfig().calibration) is photonics.CalibrationCurve

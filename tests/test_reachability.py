@@ -83,10 +83,8 @@ def _defs() -> dict:
     return found
 
 
-def _run_commands(tmp_path: Path, monkeypatch) -> dict:
+def _run_commands(tmp_path: Path, monkeypatch, run_cli) -> dict:
     """Exit code of each command, run by a freshly imported dmqkd.cli."""
-    cli = importlib.import_module("dmqkd.cli")
-    out = str(tmp_path / "out")
     stream = tmp_path / "stream.txt"
     stream.write_text("Z0s Y1s Z0d Z1v\n")
     json_cfg = tmp_path / "cfg.json"
@@ -94,27 +92,27 @@ def _run_commands(tmp_path: Path, monkeypatch) -> dict:
     text_cfg = tmp_path / "cfg.txt"
     text_cfg.write_text("mu = 40\nnu = 1\nomega = 0\nloss_db = 0\n")
     codes = {
-        name: cli.main(argv)
+        name: run_cli(tmp_path / name, *argv)["exit"]
         for name, argv in {
-            "encode": ["--out", out, "encode", str(stream)],
-            "sweep": ["--out", out, "sweep"],
-            "mc": ["--out", out, "--frames", "10000", "mc"],
-            "verify": ["--out", out, "verify"],
-            "write-defaults": ["write-defaults", str(tmp_path / "defaults.txt")],
+            "encode": ["encode", str(stream)],
+            "sweep": ["sweep"],
+            "mc": ["--frames", "10000", "mc"],
+            "verify": ["verify"],
+            "write-defaults": ["write-defaults", "defaults.txt"],
             "--help": ["--help"],
-            "json config": ["--config", str(json_cfg), "--out", out, "sweep"],
-            "mu = 40": ["--config", str(text_cfg), "--out", out, "sweep"],
+            "json config": ["--config", str(json_cfg), "sweep"],
+            "mu = 40": ["--config", str(text_cfg), "sweep"],
             "unknown subcommand": ["bogus"],
         }.items()
     }
     monkeypatch.setattr(sys, "argv", ["dmqkd", "write-defaults"])
     with pytest.raises(SystemExit) as exit_info:
-        cli.entry_point()
+        importlib.import_module("dmqkd.cli").entry_point()
     codes["entry_point"] = exit_info.value.code
     return codes
 
 
-def _reached(tmp_path: Path, monkeypatch) -> set:
+def _reached(tmp_path: Path, monkeypatch, run_cli) -> set:
     """(file, name, first line) of each function the commands enter."""
     entered = set()
 
@@ -131,7 +129,7 @@ def _reached(tmp_path: Path, monkeypatch) -> set:
     threading.settrace(hook)
     sys.settrace(hook)
     try:
-        codes = _run_commands(tmp_path, monkeypatch)
+        codes = _run_commands(tmp_path, monkeypatch, run_cli)
     finally:
         sys.settrace(old_hooks[0])
         threading.settrace(old_hooks[1])
@@ -145,9 +143,9 @@ def _reached(tmp_path: Path, monkeypatch) -> set:
     return {(files[code.co_filename], code.co_name, code.co_firstlineno) for code in entered}
 
 
-def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, monkeypatch):
+def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, monkeypatch, run_cli):
     defs = _defs()
-    reached = _reached(tmp_path, monkeypatch)
+    reached = _reached(tmp_path, monkeypatch, run_cli)
     unreached = {name for name, key in defs.items() if key not in reached}
     problems = [f"{name} is reached by no command and is not on ALLOWED"
                 for name in sorted(unreached - ALLOWED.keys())]
