@@ -33,6 +33,8 @@ class SweepSpec(Record):
         lo, hi = self.loss_min_db, self.loss_max_db
         if sweep_point_count(lo, hi, self.loss_step_db) == 0:
             raise ConfigurationError(f"sweep range must have min <= max, got {lo!r}..{hi!r}")
+        if lo < 0.0:
+            raise ConfigurationError(f"sweep start must be >= 0 dB, got {lo!r}")
 
 
 class McSpec(Record):

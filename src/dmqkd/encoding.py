@@ -59,8 +59,9 @@ class EncodingSymbol:
     def __post_init__(self) -> None:
         if self.basis not in ("Z", "Y"):
             raise InvalidSymbolError(f"basis must be 'Z' or 'Y', got {self.basis!r}")
-        if self.bit not in (0, 1):
-            raise InvalidSymbolError(f"bit must be 0 or 1, got {self.bit!r}")
+        # True and 1.0 equal 1 but would spell the tokens ZTrues and Z1.0s.
+        if type(self.bit) is not int or self.bit not in (0, 1):
+            raise InvalidSymbolError(f"bit must be the int 0 or 1, got {self.bit!r}")
         if self.intensity_class not in INTENSITY_CLASSES:
             raise InvalidSymbolError(f"unknown intensity class {self.intensity_class!r}")
         if self.basis == "Y" and self.intensity_class != SIGNAL:

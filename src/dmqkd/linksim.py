@@ -249,7 +249,7 @@ def simulate_frames_mc(
     """
     import numpy as np
 
-    from ._fanout import Crew, fan_out
+    from ._fanout import fan_out
 
     if isinstance(n_frames, bool) or not isinstance(n_frames, (int, np.integer)):
         raise ConfigurationError(f"n_frames must be an integer, got {n_frames!r}")
@@ -258,64 +258,64 @@ def simulate_frames_mc(
     check_seed(seed)
     if state_probs is None:
         state_probs = default_state_probs(params)
+    extra = set(state_probs) - set(STATE_ROWS)
+    if extra:
+        raise ConfigurationError(f"unknown state rows in probabilities: {sorted(extra)}")
     probs = np.array([state_probs.get(row, 0.0) for row in STATE_ROWS], dtype=float)
     # Written so that a NaN fails both comparisons.
     if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-9):
         raise ConfigurationError("state probabilities must be nonnegative and sum to 1")
-    extra = set(state_probs) - set(STATE_ROWS)
-    if extra:
-        raise ConfigurationError(f"unknown state rows in probabilities: {sorted(extra)}")
 
     y0, e_det, p_y_bob = params.y0, params.e_det, params.p_y_bob
     p_sig = np.array(signal_click_probs(params, intens))
     cum = np.cumsum(probs)
     n_blocks = -(-int(n_frames) // DEFAULT_BLOCK_SIZE)
 
-    def run(crew: Crew) -> tuple[np.ndarray, np.ndarray]:
-        """Tallies of the blocks this worker claims, as (sent, clicks)."""
+    def scratch() -> tuple[np.ndarray, ...]:
+        """A worker's buffers and its tallies of the blocks it claims: sent by
+        row, and detections by row + 4 * error."""
         # Each draw is consumed by a compare before the next one refills the buffer.
-        buf = np.empty(DEFAULT_BLOCK_SIZE)
-        row_buf = np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8)
-        sent = np.zeros(4, dtype=np.int64)
-        # Detections by row + 4 * error.
-        clicks = np.zeros(8, dtype=np.int64)
-        while (b := crew.claim(lambda b: b)) is not None:
-            start = b * DEFAULT_BLOCK_SIZE
-            n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-            u = rng.random(out=buf[:n])
-            # The row index is the number of cum[:3] bounds at or below u, which
-            # is min(searchsorted(cum, u, "right"), 3) since cum is nondecreasing.
-            row = row_buf[:n]
-            np.greater_equal(u, cum[0], out=row)
-            row += u >= cum[1]
-            row += u >= cum[2]
-            # STATE_ROWS[0] is the only Y-basis row; Bob measures Y with p_y_bob.
-            sifted = (row == 0) == (rng.random(out=buf[:n]) < p_y_bob)
-            row_s = np.compress(sifted, row)  # faster than row[sifted] on int8
-            m = row_s.size
-            # Row 0 usually holds most sifted frames: compare all against its click
-            # probability, then redo the frames of the Z-basis rows.
-            z = np.flatnonzero(row_s != 0)
-            u_sig = rng.random(out=buf[:m])
-            sig_click = u_sig < p_sig[0]
-            sig_click[z] = u_sig[z] < p_sig[row_s[z]]
-            dark_click = rng.random(out=buf[:m]) < y0
-            detected = sig_click | dark_click
-            # Dark events (including coincidences with a signal click) are assigned
-            # a random bit; pure signal clicks err with probability e_det.
-            err_p = np.where(dark_click[detected], 0.5, e_det)
-            errors = rng.random(out=buf[:np.count_nonzero(detected)]) < err_p
-            sent += np.bincount(row_s[z], minlength=4)
-            sent[0] += m - z.size
-            clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
-        return sent, clicks
+        return (np.empty(DEFAULT_BLOCK_SIZE), np.empty(DEFAULT_BLOCK_SIZE, dtype=np.int8),
+                np.zeros(4, dtype=np.int64), np.zeros(8, dtype=np.int64))
+
+    def block(b: int, _: None, s: tuple[np.ndarray, ...]) -> None:
+        buf, row_buf, sent, clicks = s
+        start = b * DEFAULT_BLOCK_SIZE
+        n = min(DEFAULT_BLOCK_SIZE, n_frames - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        u = rng.random(out=buf[:n])
+        # The row index is the number of cum[:3] bounds at or below u, which
+        # is min(searchsorted(cum, u, "right"), 3) since cum is nondecreasing.
+        row = row_buf[:n]
+        np.greater_equal(u, cum[0], out=row)
+        row += u >= cum[1]
+        row += u >= cum[2]
+        # STATE_ROWS[0] is the only Y-basis row; Bob measures Y with p_y_bob.
+        sifted = (row == 0) == (rng.random(out=buf[:n]) < p_y_bob)
+        row_s = np.compress(sifted, row)  # faster than row[sifted] on int8
+        m = row_s.size
+        # Row 0 usually holds most sifted frames: compare all against its click
+        # probability, then redo the frames of the Z-basis rows.
+        z = np.flatnonzero(row_s != 0)
+        u_sig = rng.random(out=buf[:m])
+        sig_click = u_sig < p_sig[0]
+        sig_click[z] = u_sig[z] < p_sig[row_s[z]]
+        dark_click = rng.random(out=buf[:m]) < y0
+        detected = sig_click | dark_click
+        # Dark events (including coincidences with a signal click) are assigned
+        # a random bit; pure signal clicks err with probability e_det.
+        err_p = np.where(dark_click[detected], 0.5, e_det)
+        errors = rng.random(out=buf[:np.count_nonzero(detected)]) < err_p
+        sent += np.bincount(row_s[z], minlength=4)
+        sent[0] += m - z.size
+        clicks += np.bincount(row_s[detected] + 4 * errors, minlength=8)
 
     # The block body is numpy calls that release the GIL, so the workers run
-    # in parallel.
-    results = fan_out(n_blocks, run)
-    sent = sum(r[0] for r in results)
-    clicks = sum(r[1] for r in results)
+    # in parallel; each block makes its own generator, so nothing is drawn
+    # under the claim's lock.
+    scratches = fan_out(n_blocks, scratch, lambda b, s: None, block)
+    sent = sum(s[2] for s in scratches)
+    clicks = sum(s[3] for s in scratches)
 
     tallies = TallyCounts()
     for i, key in enumerate(STATE_ROWS):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._fanout import Crew, fan_out
+from ._fanout import fan_out
 from .encoding import EncodingSymbol, PhasePair, encode_symbol
 from .errors import SampleSizeError, check_seed
 from .photonics import TWO_PI
@@ -398,23 +398,19 @@ def run_verification(seed: int = 0) -> dict:
                        _control_sum, _negative_control))
     partials: list = [None] * (len(properties) * _QUARTERS)
 
-    def run(crew: Crew) -> None:
-        # Only the generator calls hold the claim; each test runs outside it,
-        # in parallel with the next draws. Every task of this worker runs in
-        # these buffers from draw to partial result: arrays made and freed per
-        # test were faulted in afresh by each test, since glibc hands freed
-        # ones back to the kernel.
-        bufs = _Buffers(np.empty(_QUARTER), np.empty(_QUARTER, dtype=bool),
-                        np.empty(_QUARTER, dtype=complex))
+    def work(i: int, drawn: object, bufs: _Buffers) -> None:
+        partials[i] = properties[i // _QUARTERS][1](drawn, bufs)
 
-        def draw(i: int) -> tuple[int, object]:
-            return i, properties[i // _QUARTERS][0](i % _QUARTERS, bufs)
-
-        while (claimed := crew.claim(draw)) is not None:
-            i, drawn = claimed
-            partials[i] = properties[i // _QUARTERS][1](drawn, bufs)
-
-    fan_out(len(partials), run)
+    # Only the generator calls hold the claim; each test runs outside it, in
+    # parallel with the next draws. Every task of a worker runs in its
+    # buffers from draw to partial result: arrays made and freed per test
+    # were faulted in afresh by each test, since glibc hands freed ones back
+    # to the kernel.
+    fan_out(len(partials),
+            lambda: _Buffers(np.empty(_QUARTER), np.empty(_QUARTER, dtype=bool),
+                             np.empty(_QUARTER, dtype=complex)),
+            lambda i, bufs: properties[i // _QUARTERS][0](i % _QUARTERS, bufs),
+            work)
     report = [finish(partials[k * _QUARTERS:(k + 1) * _QUARTERS])
               for k, (_, _, finish) in enumerate(properties)]
     return {

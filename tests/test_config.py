@@ -238,6 +238,7 @@ class TestOverrides:
             {"sweep_min_db": 70.0, "sweep_max_db": 10.0},
             {"sweep_min_db": 61.0},
             {"sweep_max_db": float("inf")},
+            {"sweep_min_db": -1.0},
         ],
     )
     def test_invalid_overrides_rejected(self, overrides):

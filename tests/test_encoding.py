@@ -136,7 +136,8 @@ class TestEncodingSymbol:
     @pytest.mark.parametrize(
         "basis,bit,cls",
         [("X", 0, "signal"), ("Z", 2, "signal"), ("Z", 0, "bright"),
-         ("Y", 0, "decoy"), ("Y", 1, "vacuum")],
+         ("Y", 0, "decoy"), ("Y", 1, "vacuum"), ("Z", True, "signal"),
+         ("Y", 1.0, "signal")],
     )
     def test_invalid(self, basis, bit, cls):
         with pytest.raises(InvalidSymbolError):

@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +343,8 @@ class TestMonteCarlo:
             simulate_frames_mc(0, params, intens)
         with pytest.raises(ConfigurationError):
             simulate_frames_mc(100, params, intens, state_probs={("signal", "Y"): 0.5})
-        with pytest.raises(ConfigurationError):
+        # The unknown row is named, though the known rows also miss the sum.
+        with pytest.raises(ConfigurationError, match="unknown state rows"):
             simulate_frames_mc(
                 100, params, intens,
                 state_probs={("signal", "Y"): 0.5, ("bright", "Z"): 0.5},
@@ -428,6 +430,21 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="^block 1 failed$"):
             simulate_frames_mc(4 * DEFAULT_BLOCK_SIZE, LinkParams(), DecoyIntensities())
         assert threading.active_count() == before
+
+    def test_memory_does_not_grow_with_the_block_count(self, monkeypatch):
+        # 16-frame blocks make 12,500 blocks of 2 * 10^5 frames: a result
+        # kept per block (two small arrays, about 250 B) would hold 3 MiB.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(linksim, "DEFAULT_BLOCK_SIZE", 16)
+        params, intens = LinkParams(), DecoyIntensities()
+        simulate_frames_mc(1_000, params, intens)
+        tracemalloc.start()
+        try:
+            simulate_frames_mc(200_000, params, intens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18, f"{peak / 2**10:.0f} KiB"
 
     def test_other_workers_stop_after_an_error(self, monkeypatch):
         default_rng, started = np.random.default_rng, []

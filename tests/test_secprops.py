@@ -593,14 +593,19 @@ class TestVerificationWorkers:
     thread may outlive the call."""
 
     def test_report_does_not_depend_on_the_worker_count(self, monkeypatch):
-        crews = []
+        scratches = []  # per fan_out call, one entry per scratch() call
 
-        class RecordingCrew(_fanout.Crew):
-            def __init__(self, workers, n_tasks):
-                crews.append(workers)
-                super().__init__(workers, n_tasks)
+        def recording_fan_out(n_tasks, scratch, draw, work):
+            calls = []
+            scratches.append(calls)
 
-        monkeypatch.setattr(_fanout, "Crew", RecordingCrew)
+            def counted_scratch():
+                calls.append(None)
+                return scratch()
+
+            return _fanout.fan_out(n_tasks, counted_scratch, draw, work)
+
+        monkeypatch.setattr(secprops, "fan_out", recording_fan_out)
         threads = threading.active_count()
         reports = {}
         # Frequent thread switches, so that draws taken out of turn would show.
@@ -612,7 +617,7 @@ class TestVerificationWorkers:
                 reports[cpus] = [run_verification(seed=seed) for seed in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        assert crews == [1] * 5 + [2] * 5 + [3] * 5 + [16] * 5
+        assert list(map(len, scratches)) == [1] * 5 + [2] * 5 + [3] * 5 + [16] * 5
         assert all(r == reports[1] for r in reports.values())
         assert reports[1] == [_report(seed) for seed in range(5)]
         assert threading.active_count() == threads
@@ -664,19 +669,32 @@ class TestVerificationWorkers:
         assert calls == ["uniform"] * 4 + ["random"] * 25
         assert threading.active_count() == before
 
-    def test_claims_run_in_task_order_and_end_at_a_failed_draw_or_a_stop(self):
-        crew = _fanout.Crew(1, 4)
-        assert [crew.claim(lambda i: i) for _ in range(2)] == [0, 1]
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_claims_run_in_task_order_and_end_at_a_failed_draw(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        drawn = []
 
-        def failing(i):
-            raise RuntimeError(f"draw {i} failed")
+        def draw(i, tasks):
+            drawn.append(i)
+            if i == fail_at:
+                time.sleep(0.1)  # so that the other workers wait for the claim
+                raise RuntimeError(f"draw {i} failed")
+            return -i
 
-        with pytest.raises(RuntimeError, match="^draw 2 failed$"):
-            crew.claim(failing)
-        assert crew.claim(lambda i: i) is None
-        stopped = _fanout.Crew(1, 4)
-        stopped.stop()
-        assert stopped.claim(lambda i: i) is None
+        def work(i, d, tasks):
+            time.sleep(0.001)  # so that the workers' claims interleave
+            tasks.append((i, d))
+
+        fail_at = None
+        scratches = _fanout.fan_out(20, list, draw, work)
+        assert len(scratches) == cpus
+        assert drawn == list(range(20))
+        assert sorted(sum(scratches, [])) == [(i, -i) for i in range(20)]
+        drawn.clear()
+        fail_at = 5
+        with pytest.raises(RuntimeError, match="^draw 5 failed$"):
+            _fanout.fan_out(20, list, draw, work)
+        assert drawn == list(range(6))
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_failed_test_reaches_the_caller(self, monkeypatch, cpus):
