@@ -13,7 +13,9 @@ The relative phase of two interfered pulses is a half-angle of the underlying
 phase step and is therefore an axial quantity (defined modulo pi, since the
 signed amplitude absorbs the other half-turn). Uniformity is accordingly
 tested on the doubled angles, the standard circular-statistics treatment of
-axial data.
+axial data. The doubled angle of a leakage phase is the sum of its phase
+steps mod 2*pi, and cos and sin have period 2*pi, so the tests take the unit
+vectors of the sums as drawn.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ N_UNIFORM = 100_000
 P_THRESHOLD = 0.01
 MI_THRESHOLD = 0.01
 MI_BINS = 32
-_EXACT_BLOCK = 250  # draws per block of the exact check; 1,000 raised peak RSS
 # run_verification runs each property as _QUARTERS tasks of _QUARTER samples
 # (the exact check's of N_EXACT // _QUARTERS draws); eighths made twice the
 # numpy calls and cost 8% more time, halves saved less memory.
@@ -78,9 +79,8 @@ def _finite(samples: Sequence[float], what: str, bound: float = sys.float_info.m
 
 
 def _unit_sum(angles: np.ndarray, unit: np.ndarray) -> complex:
-    """np.add.reduce of the unit vectors of finite angles, written into unit,
-    a complex buffer of their shape: cos and sin written into one complex
-    buffer equal np.exp(1j * angles) bit for bit."""
+    """The sum of the unit vectors e^{i angle} of finite angles, their cos and
+    sin written into unit, a complex buffer of their shape."""
     np.cos(angles, out=unit.real)
     np.sin(angles, out=unit.imag)
     return np.add.reduce(unit)
@@ -88,33 +88,14 @@ def _unit_sum(angles: np.ndarray, unit: np.ndarray) -> complex:
 
 def _rayleigh(total: complex, n: int) -> tuple[float, float]:
     """Rayleigh test of circular uniformity of n angles, at least 100, whose
-    unit vectors sum to total: returns (z, p), z = n * Rbar^2 with Rbar the
-    mean resultant length and p ~ exp(-z) * (1 + (2z - z^2)/(4n)). Large p
-    supports uniformity. total / n is the unit vectors' mean() bit for bit."""
+    unit vectors sum to total: returns (z, p), z = n * Rbar^2 with Rbar =
+    |total / n| the mean resultant length and p ~ exp(-z) * (1 + (2z -
+    z^2)/(4n)). Large p supports uniformity."""
     rbar = float(abs(total / n))
     z = n * rbar * rbar
     p = math.exp(-z) * (1.0 + (2.0 * z - z * z) / (4.0 * n))
     # max(p, 0.0) would keep a p of -0.0.
     return z, min(max(0.0, p), 1.0)
-
-
-def _mod_two_pi(
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    turns: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """np.remainder(x, TWO_PI, out=out) bit for bit; out may be x. On
-    (-2*pi, 4*pi) that is x + 2*pi, x - 2*pi (exact by Sterbenz's lemma) or
-    x + 0.0 (-0.0 becomes +0.0), which costs less than np.remainder's divmod;
-    turns (float) and mask (bool) are scratch of x's shape, made if None.
-    Any other input goes to np.remainder."""
-    if x.size and -TWO_PI < x.min() and x.max() < 2.0 * TWO_PI:
-        turns = np.less(x, 0.0, out=np.empty(x.shape) if turns is None else turns)
-        turns -= np.greater_equal(x, TWO_PI, out=mask)
-        turns *= TWO_PI
-        return np.add(x, turns, out=out)
-    return np.remainder(x, TWO_PI, out=out)
 
 
 def axial_uniformity_p(samples: Sequence[float]) -> float:
@@ -124,27 +105,16 @@ def axial_uniformity_p(samples: Sequence[float]) -> float:
     arr = _finite(samples, "samples", sys.float_info.max / 2.0)
     if arr.size < 100:
         raise SampleSizeError(f"need at least 100 samples, got {arr.size}")
-    doubled = arr * 2.0
-    _, p = _rayleigh(_unit_sum(_mod_two_pi(doubled, doubled), np.empty(arr.shape, dtype=complex)),
-                     arr.size)
+    _, p = _rayleigh(_unit_sum(arr * 2.0, np.empty(arr.shape, dtype=complex)), arr.size)
     return p
 
 
-# The edges of mutual_information_bits' phase bins, as np.histogram takes them.
-_MI_EDGES = np.linspace(0.0, TWO_PI, MI_BINS + 1)
-
-
-def _phase_bins(phases: np.ndarray, bins: np.ndarray, edge: np.ndarray,
-                mask: np.ndarray) -> np.ndarray:
-    """np.histogram's bin on _MI_EDGES of each phase in [0, 2*pi], written
-    into bins (int64): bin k holds e_k <= phase < e_k+1, and the last bin
-    holds 2*pi too. edge (float) and mask (bool) are scratch of phases'
-    shape. Each e_k scales to at least k and the scaling is monotone, so a
-    scaled phase is never a bin low, and one bin high only below an edge."""
-    np.multiply(phases, MI_BINS / TWO_PI, out=bins, casting="unsafe")
-    np.minimum(bins, MI_BINS - 1, out=bins)
-    bins -= np.less(phases, np.take(_MI_EDGES, bins, mode="clip", out=edge), out=mask)
-    return bins
+def _axial_bins(doubled: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """The bin, among MI_BINS equal bins of [0, pi), of each axial phase
+    doubled / 2 mod pi, from its doubled angle (at least 0):
+    floor(doubled * MI_BINS / (2*pi)) mod MI_BINS, written into bins (int64)."""
+    np.multiply(doubled, MI_BINS / TWO_PI, out=bins, casting="unsafe")
+    return np.remainder(bins, MI_BINS, out=bins)
 
 
 def _mi_bits(counts: np.ndarray) -> float:
@@ -159,7 +129,8 @@ def _mi_bits(counts: np.ndarray) -> float:
 
 
 def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> float:
-    """Histogram estimate (in bits) of I(label; phase) with MI_BINS phase bins."""
+    """Histogram estimate (in bits) of I(label; phase) for axial phases: each
+    phase is taken mod pi and binned among MI_BINS equal bins of [0, pi)."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "biuf":
         raise SampleSizeError(f"labels must be real numbers, got dtype {labels.dtype}")
@@ -177,8 +148,9 @@ def mutual_information_bits(labels: Sequence[int], phases: Sequence[float]) -> f
         raise SampleSizeError("need at least one sample, got 0")
     values, inverse = np.unique(labels, return_inverse=True)
     keys = inverse.ravel() * MI_BINS
-    keys += _phase_bins(_mod_two_pi(phases).ravel(), np.empty(n, dtype=np.int64),
-                        np.empty(n), np.empty(n, dtype=bool))
+    doubled = np.remainder(phases.ravel(), math.pi)
+    doubled *= 2.0
+    keys += _axial_bins(doubled, np.empty(n, dtype=np.int64))
     return _mi_bits(np.bincount(keys, minlength=values.size * MI_BINS).reshape(-1, MI_BINS))
 
 
@@ -187,13 +159,13 @@ def sample_phi_lr(
 ) -> np.ndarray:
     """phi_LR = (phi_rf + phi23)/2 for phi23 (fixed, or one per sample) under
     uniformly random phi_rf, the sum reduced mod 2*pi before halving: in [0, pi].
-    The phi_rf are rng.random times TWO_PI: rng.uniform(0.0, TWO_PI, size=n)
-    computes 0.0 + TWO_PI * rng.random() each, so they are its draws bit for
-    bit and leave the generator in the same state."""
+    The phi_rf are rng.random() * TWO_PI, the values that
+    rng.uniform(0.0, TWO_PI, size=n) draws, and leave the generator where it
+    would."""
     out = rng.random(n)
     out *= TWO_PI
     out += phi23
-    _mod_two_pi(out, out)
+    np.remainder(out, TWO_PI, out=out)
     out /= 2.0
     return out
 
@@ -202,7 +174,7 @@ def sample_phi_erp(
     phi12: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """phi_ER_P = (phi_rp - phi12)/2 for a fixed phi12 under uniformly random
-    phi_rp; phi_rp - phi12 is phi_rp + (-phi12) bit for bit."""
+    phi_rp: sample_phi_lr at -phi12."""
     return sample_phi_lr(-float(phi12), n, rng)
 
 
@@ -221,20 +193,13 @@ FIXED_ENCODING_PHASES = tuple(sorted(set(_BB84_PHASES.ravel().tolist())))
 
 
 def _max_spread(draws: np.ndarray) -> float:
-    """The largest spread of the R-bin (and R_P-bin) amplitude across the four
-    encodings over the (phi1, phi_rf) rows of draws, in blocks of rows:
-    r_bin_amplitude's complex products in CPython's float order (0.5 * z is
-    (0.5+0j) * z), so each spread is bit-identical to it."""
-    phi12, phi23 = _BB84_PHASES[:, :1], _BB84_PHASES[:, 1:]
-    max_dev = 0.0
-    for start in range(0, len(draws), _EXACT_BLOCK):
-        phi1, phi_rf = draws[start:start + _EXACT_BLOCK].T
-        e, f = np.exp(1j * (phi1 + phi12 + phi23)), np.exp(1j * phi_rf)
-        ar, ai = 0.5 * e.real - 0.0 * e.imag, 0.5 * e.imag + 0.0 * e.real
-        br, bi = 1.0 + f.real, 0.0 + f.imag
-        re, im = ar * br - ai * bi, ar * bi + ai * br
-        max_dev = max(max_dev, float(np.hypot(re[1:] - re[0], im[1:] - im[0]).max()))
-    return max_dev
+    """The largest spread |R_k - R_0| of the R-bin (and R_P-bin) amplitude
+    R_k = 0.5 * e^{i(phi1 + phi12_k + phi23_k)} * (1 + e^{i phi_rf}) across
+    the encodings k of _BB84_PHASES, over the (phi1, phi_rf) rows of draws."""
+    phi1, phi_rf = draws.T
+    r = (0.5 * np.exp(1j * (phi1 + _BB84_PHASES[:, :1] + _BB84_PHASES[:, 1:]))
+         * (1.0 + np.exp(1j * phi_rf)))
+    return float(np.abs(r[1:] - r[0]).max())
 
 
 def _exact_invariance(spreads: list[float]) -> dict:
@@ -251,65 +216,39 @@ def _exact_invariance(spreads: list[float]) -> dict:
 
 class _Buffers(NamedTuple):
     """One run_verification worker's arrays for its quarter tasks, freed when
-    the call returns: their samples, the bool mask of _mod_two_pi and the
-    unit vectors of _unit_sum. The float turns of _mod_two_pi share the unit
-    vectors' first half, which a test writes only after its last reduction
-    mod 2*pi; the MI test's int64 phase bins share their second."""
+    the call returns: their samples and the unit vectors of _unit_sum, whose
+    two halves the MI test takes for its phi23 (float) and bins (int64)."""
 
     samples: np.ndarray
-    mask: np.ndarray
     unit: np.ndarray
-
-    @property
-    def turns(self) -> np.ndarray:
-        return self.unit.view(np.float64)[: self.samples.size]
-
-
-def _tree_sum(leaves: list[complex]) -> complex:
-    """np.add.reduce of the N_UNIFORM unit vectors whose _QUARTERS quarters
-    sum to leaves, bit for bit: its pairwise summation halves the 2 * N_UNIFORM
-    doubles at N_UNIFORM and then at N_UNIFORM / 2, so the quarter sums are
-    the leaves of its tree, and it adds them in this order."""
-    l0, l1, l2, l3 = leaves
-    return (l0 + l1) + (l2 + l3)
-
-
-def _doubled_sum(doubled: np.ndarray, bufs: _Buffers) -> complex:
-    """_unit_sum of the doubled angles of the half-angles (doubled mod 2*pi)
-    / 2, bit for bit, from one reduction of doubled mod 2*pi in place: a
-    result rounded to exactly 2*pi is folded to 0.0, as halving, doubling
-    and reducing again would fold it (sin(2*pi) is not 0)."""
-    _mod_two_pi(doubled, doubled, bufs.turns, bufs.mask)
-    doubled[np.equal(doubled, TWO_PI, out=bufs.mask)] = 0.0
-    return _unit_sum(doubled, bufs.unit)
 
 
 def _padded_sum(shift: float, pads: np.ndarray, bufs: _Buffers) -> complex:
     """A quarter of a one-time-pad uniformity test at one fixed setting: the
-    _doubled_sum of the doubled angles pads * 2*pi + shift, pads overwritten."""
+    _unit_sum of the doubled angles pads * 2*pi + shift, pads overwritten."""
     pads *= TWO_PI
     pads += shift
-    return _doubled_sum(pads, bufs)
+    return _unit_sum(pads, bufs.unit)
 
 
 def _uniformity(name: str, leaves: list[complex]) -> dict:
     """One-time-pad uniformity of leakage phases at one fixed setting, from
     the _padded_sum of each quarter."""
-    _, p = _rayleigh(_tree_sum(leaves), N_UNIFORM)
+    _, p = _rayleigh(sum(leaves), N_UNIFORM)
     return {"name": name, "passed": p > P_THRESHOLD, "p_value": p, "samples": N_UNIFORM}
 
 
 def _bit_counts(bits: np.ndarray, bufs: _Buffers) -> np.ndarray:
     """A quarter of the MI test: the joint counts, label * MI_BINS + bin, of
-    random Z-basis bits and the phase bin of phi_LR at each bit's phi23, from
-    the pads in bufs.samples; bits is overwritten."""
-    phi_lr = bufs.samples
-    phi_lr *= TWO_PI
-    phi_lr += np.take(_BB84_PHASES[:, 1], bits, mode="clip", out=bufs.turns)
-    _mod_two_pi(phi_lr, phi_lr, bufs.turns, bufs.mask)
-    phi_lr /= 2.0
+    random Z-basis bits and the _axial_bins of phi_LR at each bit's phi23,
+    from its doubled angle pads * 2*pi + phi23 in [0, 3*pi) with the pads in
+    bufs.samples; bits is overwritten."""
+    halves = bufs.unit.view(np.float64)
+    doubled = bufs.samples
+    doubled *= TWO_PI
+    doubled += np.take(_BB84_PHASES[:, 1], bits, mode="clip", out=halves[:bits.size])
     bits *= MI_BINS
-    bits += _phase_bins(phi_lr, bufs.unit.view(np.int64)[phi_lr.size:], bufs.turns, bufs.mask)
+    bits += _axial_bins(doubled, halves[bits.size:].view(np.int64))
     return np.bincount(bits, minlength=2 * MI_BINS)
 
 
@@ -327,18 +266,17 @@ def _bit_independence(counts: list[np.ndarray]) -> dict:
 
 def _control_sum(padding: np.ndarray, bufs: _Buffers) -> complex:
     """A quarter of the negative control: standard normal padding, scaled to
-    0.3 rad and reduced mod 2*pi, then padded by pi; the _doubled_sum of
-    that, padding overwritten."""
+    0.3 rad and padded by pi; the _unit_sum of those doubled angles, padding
+    overwritten."""
     padding *= 0.3
-    _mod_two_pi(padding, padding, bufs.turns, bufs.mask)
     padding += math.pi
-    return _doubled_sum(padding, bufs)
+    return _unit_sum(padding, bufs.unit)
 
 
 def _negative_control(leaves: list[complex]) -> dict:
     """A padding phase concentrated around 0 leaks, and the uniformity test
     must detect it: from the _control_sum of each quarter."""
-    _, p = _rayleigh(_tree_sum(leaves), N_UNIFORM)
+    _, p = _rayleigh(sum(leaves), N_UNIFORM)
     return {
         "name": "negative_control_nonuniform_detected",
         "passed": p < P_THRESHOLD,
@@ -390,10 +328,8 @@ def run_verification(seed: int = 0) -> dict:
                 functools.partial(_uniformity, f"{name}_uniform_at_{fixed / math.pi:.2f}pi"),
             ))
     properties.append((mi_draw, _bit_counts, _bit_independence))
-    # standard_normal times 0.3 leaves the generator as normal(0.0, 0.3) does
-    # and is its draws bit for bit, but for the sign of an exact zero: normal
-    # computes 0.0 + 0.3 * standard_normal(), and the control's first
-    # reduction mod 2*pi clears that sign too.
+    # The control's padding is 0.3 * standard_normal, a draw of
+    # normal(0.0, 0.3) that leaves the generator where normal does.
     properties.append((lambda q, bufs: rng.standard_normal(out=bufs.samples),
                        _control_sum, _negative_control))
     partials: list = [None] * (len(properties) * _QUARTERS)
@@ -407,8 +343,7 @@ def run_verification(seed: int = 0) -> dict:
     # were faulted in afresh by each test, since glibc hands freed ones back
     # to the kernel.
     fan_out(len(partials),
-            lambda: _Buffers(np.empty(_QUARTER), np.empty(_QUARTER, dtype=bool),
-                             np.empty(_QUARTER, dtype=complex)),
+            lambda: _Buffers(np.empty(_QUARTER), np.empty(_QUARTER, dtype=complex)),
             lambda i, bufs: properties[i // _QUARTERS][0](i % _QUARTERS, bufs),
             work)
     report = [finish(partials[k * _QUARTERS:(k + 1) * _QUARTERS])
