@@ -1,4 +1,4 @@
-"""Record: the base of the records that `import dmqkd.cli` loads.
+"""Record: the base of dmqkd's validated, immutable records.
 
 A record's fields are its annotated class attributes, in order, and a field's
 default is its class attribute; a nested default is a record instance, which
@@ -12,11 +12,7 @@ builds a copy through __init__, so the checks run again.
 
 dataclasses is not used here because importing it loads inspect, ast, dis and
 tokenize, and each decorated class execs its generated methods: together most
-of the command line's start-up time once numpy left it. encoding's
-EncodingSymbol, PhasePair and WaveformSchedule stay dataclasses: encoding loads
-only with numpy, which costs far more; the benchmark's tests call
-dataclasses.replace on a PhasePair; and compile_schedule hashes one
-EncodingSymbol per symbol, where a generated __hash__ beats a generic one.
+of the command line's start-up time once numpy left it.
 """
 
 from __future__ import annotations
@@ -62,7 +58,11 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # Kept once made: compile_schedule hashes one shared EncodingSymbol per symbol.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._values())
+        return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.asdict().items())
@@ -77,6 +77,8 @@ class Record:
     def asdict(self) -> dict:
         """Field name -> value, in field order; nested records stay records."""
         return dict(zip(self.field_names, self._values()))
+
+    __getstate__ = asdict  # pickles carry no kept hash: str hashes differ between processes
 
     def replace(self, **changes):
         """A copy with the given fields changed, checked as a new record is."""

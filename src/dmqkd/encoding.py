@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigurationError, InvalidSymbolError, ScheduleParseError
 from .photonics import CalibrationCurve, Phase, TimingParams
 
@@ -44,8 +44,7 @@ _CHUNK, _BLOCK = 1 << 16, 4096
 DRIVE_LEVEL_V = 1.0
 
 
-@dataclass(frozen=True)
-class EncodingSymbol:
+class EncodingSymbol(Record):
     """A logical symbol: basis Z or Y, bit 0/1, and an intensity class.
 
     Decoy and vacuum classes exist only in the Z basis; the Y basis carries
@@ -70,8 +69,7 @@ class EncodingSymbol:
             )
 
 
-@dataclass(frozen=True)
-class PhasePair:
+class PhasePair(Record):
     """The (phi12, phi23) realisation of one symbol."""
 
     phi12: Phase
@@ -97,8 +95,7 @@ class EventColumns:
                        (other.code, other.start, other.duration, other.level)))
 
 
-@dataclass(frozen=True)
-class WaveformSchedule:
+class WaveformSchedule(Record):
     """A time-sorted list of valid events realizing a symbol stream.
 
     Times are absolute offsets in seconds from the first master onset, stored
@@ -128,7 +125,7 @@ class WaveformSchedule:
             ev = EventColumns(ev.code[o], ev.start[o], ev.duration[o], ev.level[o])
         for col in (ev.code, ev.start, ev.duration, ev.level):
             col.flags.writeable = False
-        object.__setattr__(self, "events", ev)
+        self.__dict__["events"] = ev
 
 
 def intensity_to_phase(fraction: float) -> Phase:

@@ -312,7 +312,7 @@ class TestWriteDefaults:
 
 # Run in a fresh interpreter: the CLI, a config round trip and every command
 # that computes no arrays leave numpy and the thread helper dmqkd._fanout
-# unimported; encode then imports numpy.
+# unimported; encode then imports numpy, and no command imports dataclasses.
 _NO_NUMPY_SCRIPT = """
 import sys
 from pathlib import Path
@@ -329,7 +329,7 @@ for name in ("numpy", "dataclasses", "inspect", "dmqkd._fanout"):
     assert name not in sys.modules, f"{name} imported"
 (tmp / "stream.txt").write_text("Z0s Y1s Z0d Z1v")
 assert main(["--out", str(tmp), "encode", str(tmp / "stream.txt")]) == 0
-assert "numpy" in sys.modules
+assert "numpy" in sys.modules and "dataclasses" not in sys.modules
 """
 
 

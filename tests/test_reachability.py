@@ -53,7 +53,6 @@ ALLOWED = {
     "photonics.amzi_transform": _EMIT,
     "photonics._check_finite": "the error path of amzi_transform",
     "_record.Record.__eq__": _API,
-    "_record.Record.__hash__": _API,
     "_record.Record.__repr__": _API,
     "_record.Record.__setattr__": "the error path of assigning to a frozen record",
     "_record.Record.__delattr__": "the error path of deleting a field of a frozen record",

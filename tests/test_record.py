@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from dmqkd.config import McSpec, RunConfig, SweepSpec
+from dmqkd.encoding import EncodingSymbol, encode_symbol
 from dmqkd.errors import ConfigurationError
 from dmqkd.linksim import DecoyIntensities, GainQber, LinkParams, RowTally, TallyCounts
 from dmqkd.photonics import CalibrationCurve, TimingParams
@@ -31,12 +34,17 @@ _MC = "McSpec(n_frames=1000000, seed=0)"
         (TimingParams(), _TIMING),
         (SweepSpec(), _SWEEP),
         (McSpec(), _MC),
+        (EncodingSymbol("Z", 0, "decoy"),
+         "EncodingSymbol(basis='Z', bit=0, intensity_class='decoy')"),
+        (encode_symbol(EncodingSymbol("Z", 0, "decoy"), {"decoy": 0.4}),
+         "PhasePair(phi12=Phase(1.7721542475852274), phi23=Phase(3.141592653589793))"),
         (RunConfig(), f"RunConfig(link={_LINK}, intensities={_INTENS}, timing={_TIMING}, "
          "calibration=CalibrationCurve(v_pi=0.8), z_mix=(0.3333333333333333, "
          f"0.3333333333333333, 0.3333333333333333), sweep={_SWEEP}, mc={_MC})"),
     ],
     ids=["LinkParams", "DecoyIntensities", "GainQber", "RowTally", "RowTally-counts",
-         "TallyCounts", "CalibrationCurve", "TimingParams", "SweepSpec", "McSpec", "RunConfig"],
+         "TallyCounts", "CalibrationCurve", "TimingParams", "SweepSpec", "McSpec", "EncodingSymbol",
+         "PhasePair", "RunConfig"],
 )
 def test_repr_keeps_the_dataclass_format(record, text):
     assert repr(record) == str(record) == text
@@ -86,6 +94,22 @@ class TestEquality:
         assert RunConfig(mc=McSpec(seed=1)) != RunConfig()
         assert GainQber(0.5, 0.25) != (0.5, 0.25)
         assert SweepSpec() != CalibrationCurve()
+
+    def test_symbols_built_apart_are_equal_with_equal_hashes(self):
+        a, b = EncodingSymbol("Y", 1), EncodingSymbol(basis="Y", bit=1, intensity_class="signal")
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a) == hash(("Y", 1, "signal"))
+        assert len({a, b, EncodingSymbol("Y", 0)}) == 2
+        with pytest.raises(AttributeError, match="cannot assign to field 'bit'"):
+            a.bit = 0
+        assert a.bit == 1 and a == b
+
+    def test_a_pickle_does_not_depend_on_a_kept_hash(self):
+        fresh, hashed = EncodingSymbol("Z", 0, "decoy"), EncodingSymbol("Z", 0, "decoy")
+        hash(hashed)
+        assert pickle.dumps(hashed) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(hashed)) == fresh
+        assert pickle.loads(pickle.dumps(RunConfig())) == RunConfig()
 
     def test_mutable_records_are_unhashable(self):
         for record in (RowTally(), TallyCounts()):
